@@ -126,15 +126,27 @@ DataBatch CsvFileInterface::NextBatch(const FilterSet& filters) {
 }
 
 void LiveFeedInterface::Push(broker::DumpFileMeta meta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) return;
-  queue_.push_back(std::move(meta));
-  ++published_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) return;
+    queue_.push_back(std::move(meta));
+    ++published_;
+  }
+  ready_.notify_all();
 }
 
 void LiveFeedInterface::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  ready_.notify_all();
+}
+
+bool LiveFeedInterface::WaitForData() {
+  std::unique_lock<std::mutex> lock(mu_);
+  ready_.wait(lock, [this] { return !queue_.empty() || closed_; });
+  return true;
 }
 
 bool LiveFeedInterface::closed() const {

@@ -4,6 +4,7 @@
 // the same "local index" use case here — see DESIGN.md.)
 #pragma once
 
+#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <unordered_set>
@@ -30,6 +31,13 @@ class DataInterface {
 
   // Live-mode hook invoked before a retry poll (re-scan the archive).
   virtual void Refresh() {}
+
+  // Live mode, after a retry_later batch. A push interface (data is
+  // handed to it in-process) blocks here until a new batch is ready and
+  // returns true, so the stream wakes on publish. A pull interface
+  // (it must re-scan an external index) returns false at once and the
+  // stream falls back to Options::poll_wait + Refresh().
+  virtual bool WaitForData() { return false; }
 };
 
 // Primary interface: windowed queries against a Broker (paper §3.2).
@@ -84,8 +92,10 @@ class CsvFileInterface : public DataInterface {
 // publications strictly in publication order — the emitted record
 // sequence is the ingestion sequence, deterministically, with no
 // cross-file timestamp reordering between micro-dumps. While the feed is
-// open and drained, batches carry retry_later (the stream's live poll
-// loop); after Close() the drained feed reports end_of_stream. Meta
+// open and drained, batches carry retry_later; after Close() the drained
+// feed reports end_of_stream. It is a push interface: the live stream
+// blocks in WaitForData() and Push()/Close() wake it, so no poll
+// interval sits between publication and delivery. Meta
 // filters are the publisher's concern (a live session is already one
 // project/collector); record-level filters still apply downstream.
 class LiveFeedInterface : public DataInterface {
@@ -101,10 +111,14 @@ class LiveFeedInterface : public DataInterface {
   bool closed() const;
   size_t published() const;  // files pushed so far (stats/tests)
 
+  // Non-blocking: one file, end_of_stream, or retry_later.
   DataBatch NextBatch(const FilterSet& filters) override;
+  // Blocks until a file is queued or the feed is closed; always true.
+  bool WaitForData() override;
 
  private:
   mutable std::mutex mu_;
+  std::condition_variable ready_;  // Push/Close -> WaitForData
   std::deque<broker::DumpFileMeta> queue_;
   bool closed_ = false;
   size_t published_ = 0;

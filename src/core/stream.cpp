@@ -213,7 +213,9 @@ bool BgpStream::Refill() {
       continue;
     }
     if (batch.retry_later) {
-      // Live mode: block until data may be available, then re-scrape.
+      // Live mode. A push interface blocks until a batch is published;
+      // a pull interface is polled: wait, re-scrape, retry.
+      if (data_interface_->WaitForData()) continue;
       ++consecutive_polls;
       if (options_.max_consecutive_polls != 0 &&
           consecutive_polls >= options_.max_consecutive_polls) {

@@ -28,12 +28,15 @@ namespace bgps::core {
 class BgpStream {
  public:
   struct Options {
-    // Called in live mode when the broker has no new data; should block
-    // (wall clock) or advance virtual time, then return. Default sleeps
-    // one second of wall time.
+    // Called in live mode when a pull interface (the broker) has no new
+    // data; should block (wall clock) or advance virtual time, then
+    // return. Default sleeps one second of wall time. Never called for a
+    // push interface (LiveFeedInterface), whose WaitForData() blocks
+    // until data is published instead.
     std::function<void()> poll_wait;
     // Safety valve for tests/simulations: stop a live stream after this
-    // many consecutive empty polls (0 = poll forever).
+    // many consecutive empty polls of a pull interface (0 = poll
+    // forever).
     size_t max_consecutive_polls = 0;
     // Asynchronous prefetching decode stage (paper §3.1): number of
     // overlapping-subsets decoded ahead of the consumer by a worker

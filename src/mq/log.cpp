@@ -102,8 +102,24 @@ uint64_t Cluster::Publish(const std::string& topic, size_t partition,
     p->log.push_back(std::make_shared<const Message>(std::move(message)));
     p->EnforceRetentionLocked(evicted);
   }
+  {
+    std::lock_guard lock(publish_mu_);
+    ++publishes_;
+  }
+  publish_cv_.notify_all();
   RunEvictionHooks(evicted);
   return offset;
+}
+
+uint64_t Cluster::publishes() const {
+  std::lock_guard lock(publish_mu_);
+  return publishes_;
+}
+
+bool Cluster::WaitForPublish(uint64_t seen,
+                             std::chrono::nanoseconds max) const {
+  std::unique_lock lock(publish_mu_);
+  return publish_cv_.wait_for(lock, max, [&] { return publishes_ > seen; });
 }
 
 Result<std::vector<MessagePtr>> Cluster::Fetch(const std::string& topic,

@@ -28,6 +28,8 @@
 //    data loss.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <map>
@@ -116,6 +118,14 @@ class Cluster {
   size_t partitions(const std::string& topic) const;
   std::vector<std::string> topics() const;
 
+  // Publish notifications, cluster-wide: the number of Publish calls
+  // completed so far, and a wait for the count to pass `seen` (true) or
+  // for `max` to elapse (false). A consumer reads publishes() *before*
+  // it polls and waits on that value when the poll came back empty, so
+  // a publish that lands in between is never missed.
+  uint64_t publishes() const;
+  bool WaitForPublish(uint64_t seen, std::chrono::nanoseconds max) const;
+
  private:
   struct Partition;
 
@@ -183,6 +193,12 @@ class Cluster {
   mutable std::mutex mu_;
   std::map<std::string, Topic> topics_;
   RetentionOptions default_retention_;
+
+  // The publish count has its own lock, so waiters never hold up topic
+  // lookups or appends.
+  mutable std::mutex publish_mu_;
+  mutable std::condition_variable publish_cv_;
+  uint64_t publishes_ = 0;
 };
 
 // Offset-tracking consumer handle for one (topic, partition).

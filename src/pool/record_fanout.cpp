@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 namespace bgps::pool {
 
@@ -209,6 +208,9 @@ std::optional<core::Record> RecordSubscriber::NextRecord() {
   size_t idle_polls = 0;
   for (;;) {
     if (options_.cancel && options_.cancel()) return std::nullopt;
+    // Read before polling: a publish after this point wakes the wait
+    // below even if it lands before the wait starts.
+    const uint64_t seen = options_.cluster->publishes();
     const bool progress = PollOnce();
     if (!status_.ok()) return std::nullopt;
     // Emit loop: the smallest pending seq, once the watermark (or the
@@ -244,7 +246,8 @@ std::optional<core::Record> RecordSubscriber::NextRecord() {
     if (options_.poll_wait) {
       options_.poll_wait();
     } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      // Bounded so cancel and max_consecutive_polls are still checked.
+      options_.cluster->WaitForPublish(seen, std::chrono::milliseconds(2));
     }
   }
 }

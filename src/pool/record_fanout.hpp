@@ -114,7 +114,8 @@ class RecordSubscriber {
     // publisher's suffix from that ordinal.
     uint64_t from_seq = 0;
     // Invoked when a live tail has no publishable data yet; should
-    // block briefly or advance time, then return. Default sleeps 2ms.
+    // block briefly or advance time, then return. Default: wait for the
+    // next publish to the cluster, at most 2 ms.
     std::function<void()> poll_wait;
     // Safety valve: end the stream (status stays OK) after this many
     // consecutive empty waits (0 = tail forever).

@@ -258,7 +258,9 @@ TEST(FanOutStress, FourConcurrentTcpSubscribersMatchDirectBaselines) {
   sopt.file_open_hook = [&publisher_opens](const DumpFileMeta&) {
     ++publisher_opens;
   };
-  auto stream = (*pool)->CreateStream(std::move(sopt), {.name = "publisher"});
+  StreamPool::TenantOptions tenant;
+  tenant.name = "publisher";
+  auto stream = (*pool)->CreateStream(std::move(sopt), tenant);
   VectorDataInterface di(corpus.files);
   stream->SetInterval(kWindowStart, kWindowEnd);
   stream->SetDataInterface(&di);

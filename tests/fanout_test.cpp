@@ -413,5 +413,82 @@ TEST(FanOut, TcpServerRejectsBadCommands) {
   server.Stop();
 }
 
+// The two appends a RecordPublisher flush makes for one record: its
+// batch on the collector topic, then the watermark that makes it
+// emittable.
+void PublishOneRecord(mq::Cluster& cluster, uint64_t seq) {
+  mq::RecordBatchMessage batch;
+  batch.project = "live";
+  batch.collector = "live";
+  mq::PublishedRecord pr;
+  pr.seq = seq;
+  pr.record.timestamp = Timestamp(1000 + seq);
+  pr.record.prefetched_elems.emplace();
+  batch.records.push_back(std::move(pr));
+  mq::Message m;
+  m.value = mq::EncodeRecordBatch(batch);
+  cluster.Publish(mq::RecordTopic("live"), 0, std::move(m));
+  mq::RecordWatermarkMessage mark;
+  mark.published_through = seq + 1;
+  mq::Message wm;
+  wm.value = mq::EncodeRecordWatermark(mark);
+  cluster.Publish(mq::kRecordWatermarkTopic, 0, std::move(wm));
+}
+
+// A live tail with the default wait wakes on each publish instead of
+// sleeping out its idle round. The publisher lets the subscriber park
+// before every record, so a subscriber that slept its 2 ms bound each
+// round would need >= ~170 ms for the 100 records; waking on publish
+// takes ~100 x 0.25 ms.
+TEST(FanOut, LiveTailWakesOnPublishAndCancelStillEndsIt) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  mq::Cluster cluster;
+  std::atomic<bool> stop{false};
+  pool::RecordSubscriber::Options sopt;
+  sopt.cluster = &cluster;
+  sopt.cancel = [&stop] { return stop.load(); };
+  pool::RecordSubscriber sub(sopt);
+  ASSERT_TRUE(sub.Start().ok());
+
+  constexpr uint64_t kRecords = 100;
+  std::atomic<uint64_t> delivered{0};
+  std::thread publisher([&] {
+    for (uint64_t seq = 0; seq < kRecords && !stop.load(); ++seq) {
+      while (delivered.load() < seq && !stop.load())
+        std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      PublishOneRecord(cluster, seq);
+    }
+  });
+  const auto t0 = steady_clock::now();
+  for (uint64_t seq = 0; seq < kRecords; ++seq) {
+    auto rec = sub.NextRecord();
+    if (!rec) break;
+    EXPECT_EQ(rec->timestamp, Timestamp(1000 + seq));
+    delivered.store(seq + 1);
+  }
+  const auto took = steady_clock::now() - t0;
+  if (delivered.load() < kRecords) stop.store(true);
+  publisher.join();
+  ASSERT_EQ(delivered.load(), kRecords);
+  EXPECT_LT(took, milliseconds(150))
+      << std::chrono::duration<double, std::milli>(took).count() << " ms";
+
+  // Idle tail, nothing more to publish: cancel ends it within the wait
+  // bound plus scheduling slack, with status OK.
+  steady_clock::time_point cancelled_at;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(milliseconds(20));
+    cancelled_at = steady_clock::now();
+    stop.store(true);
+  });
+  EXPECT_FALSE(sub.NextRecord().has_value());
+  const auto ended = steady_clock::now();
+  canceller.join();
+  EXPECT_TRUE(sub.status().ok()) << sub.status().ToString();
+  EXPECT_LT(ended - cancelled_at, milliseconds(50));
+}
+
 }  // namespace
 }  // namespace bgps

@@ -222,16 +222,10 @@ inline broker::DumpFileMeta WriteBaselineDump(
   return meta;
 }
 
-// Live-tenant stream options: a fast poll (the feed is usually already
-// closed in tests) plus a poll cap as a hang backstop — a bug that
-// never closes the feed fails the test instead of wedging ctest.
-inline core::BgpStream::Options LiveStreamOptions() {
-  core::BgpStream::Options opt;
-  opt.poll_wait = [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
-  opt.max_consecutive_polls = 30000;  // ~30 s of empty polls
-  return opt;
-}
+// Live-tenant stream options. The feed is a push interface: the stream
+// blocks in WaitForData() until a dump is published or the feed closes,
+// so poll_wait and max_consecutive_polls never apply. A bug that never
+// closes the feed hangs the test until its ctest TIMEOUT fails it.
+inline core::BgpStream::Options LiveStreamOptions() { return {}; }
 
 }  // namespace bgps::livetest

@@ -200,6 +200,89 @@ TEST(Cluster, EvictionHooksFireOnTruncationAndDestruction) {
   EXPECT_EQ(evicted, 3);  // cluster teardown releases the survivor
 }
 
+// Publish notifications. The waits below use bounds far above any wake
+// latency; a wake-up that does not come shows as a false return or as a
+// wait that ran for seconds.
+using std::chrono::milliseconds;
+using std::chrono::seconds;
+using std::chrono::steady_clock;
+
+TEST(Cluster, WaitForPublishReturnsAtOnceWhenCountIsPastSeen) {
+  Cluster cluster;
+  EXPECT_EQ(cluster.publishes(), 0u);
+  cluster.Publish("a", 0, Message{});
+  cluster.Publish("b", 0, Message{});  // any topic counts
+  EXPECT_EQ(cluster.publishes(), 2u);
+  auto t0 = steady_clock::now();
+  EXPECT_TRUE(cluster.WaitForPublish(1, seconds(30)));
+  EXPECT_LT(steady_clock::now() - t0, seconds(5));
+}
+
+TEST(Cluster, WaitForPublishTimesOutWithoutPublish) {
+  Cluster cluster;
+  cluster.Publish("t", 0, Message{});
+  auto t0 = steady_clock::now();
+  EXPECT_FALSE(cluster.WaitForPublish(cluster.publishes(), milliseconds(20)));
+  EXPECT_GE(steady_clock::now() - t0, milliseconds(20));
+}
+
+TEST(Cluster, WaitForPublishWakesOnPublishFromAnotherThread) {
+  Cluster cluster;
+  const uint64_t seen = cluster.publishes();
+  std::thread producer([&] {
+    std::this_thread::sleep_for(milliseconds(20));
+    cluster.Publish("t", 0, Message{});
+  });
+  auto t0 = steady_clock::now();
+  EXPECT_TRUE(cluster.WaitForPublish(seen, seconds(30)));
+  EXPECT_LT(steady_clock::now() - t0, seconds(5));  // woken, not timed out
+  EXPECT_EQ(cluster.publishes(), seen + 1);
+  producer.join();
+}
+
+// The consumer protocol: read publishes(), poll, and wait on the value
+// read only when the poll came back empty. A publish landing between
+// the read and the wait must still end the wait.
+TEST(Cluster, WaitForPublishKeepsPublishBetweenReadAndWait) {
+  Cluster cluster;
+  const uint64_t seen = cluster.publishes();
+  EXPECT_TRUE(cluster.Fetch("t", 0, 0)->empty());
+  cluster.Publish("t", 0, Message{});
+  auto t0 = steady_clock::now();
+  EXPECT_TRUE(cluster.WaitForPublish(seen, seconds(30)));
+  EXPECT_LT(steady_clock::now() - t0, seconds(5));
+
+  // The same protocol against a concurrent producer: every message
+  // arrives and no wait after an empty poll times out. (Publish counts a
+  // message only once it is fetchable; counted earlier, a poll could
+  // miss it and the wait on the already-counted value would time out.)
+  constexpr size_t kMessages = 2000;
+  Cluster raced;
+  std::thread producer([&] {
+    for (size_t i = 0; i < kMessages; ++i) {
+      Message m;
+      m.value = {uint8_t(i)};
+      raced.Publish("t", 0, std::move(m));
+      if (i % 8 == 0) std::this_thread::yield();
+    }
+  });
+  Consumer consumer(&raced, "t");
+  size_t got = 0, waits = 0, lost = 0;
+  while (got < kMessages) {
+    const uint64_t before = raced.publishes();
+    auto msgs = consumer.Poll();
+    ASSERT_TRUE(msgs.ok());
+    got += msgs->size();
+    if (got < kMessages && msgs->empty()) {
+      ++waits;
+      if (!raced.WaitForPublish(before, seconds(5))) ++lost;
+    }
+  }
+  producer.join();
+  EXPECT_EQ(got, kMessages);
+  EXPECT_EQ(lost, 0u) << "after " << waits << " waits";
+}
+
 corsaro::DiffCell MakeDiff(const std::string& collector, bgp::Asn peer,
                            const std::string& prefix, bool announced,
                            const std::string& path = "65001 15169") {

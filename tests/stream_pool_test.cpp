@@ -301,9 +301,12 @@ TEST_F(StreamPoolTest, WeightedTenantsMatchPrivatePipelinesAndShowInStats) {
 
   BgpStream::Options opt;
   opt.extract_elems_in_workers = true;
-  auto live = (*pool)->CreateStream(opt, {.weight = 4, .name = "live"});
-  auto backfill =
-      (*pool)->CreateStream(opt, {.weight = 1, .name = "backfill"});
+  StreamPool::TenantOptions live_tenant, backfill_tenant;
+  live_tenant.weight = 4;
+  live_tenant.name = "live";
+  backfill_tenant.name = "backfill";
+  auto live = (*pool)->CreateStream(opt, live_tenant);
+  auto backfill = (*pool)->CreateStream(opt, backfill_tenant);
 
   StreamRun got0, got1;
   {
@@ -557,7 +560,9 @@ TEST_F(StreamPoolTest, StartRejectsBadTenantKnobsWithExactMessages) {
   auto pool = StreamPool::Create(popt);
   ASSERT_TRUE(pool.ok());
   {
-    auto stream = (*pool)->CreateStream({}, {.weight = 0});
+    StreamPool::TenantOptions zero_weight;
+    zero_weight.weight = 0;
+    auto stream = (*pool)->CreateStream({}, zero_weight);
     VectorDataInterface di(archives_[0]);
     stream->SetInterval(0, 4102444800);
     stream->SetDataInterface(&di);

@@ -2,7 +2,10 @@
 // simulator -> MRT files -> broker -> multi-way merge -> records/elems.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
+#include <future>
+#include <thread>
 
 #include "core/stream.hpp"
 #include "reader/ascii.hpp"
@@ -202,6 +205,62 @@ TEST_F(StreamTest, LiveModePollsAndTerminatesOnCap) {
   }
   EXPECT_GT(records, 0u);
   EXPECT_GT(polls, 0u);
+}
+
+// A live stream on a push interface wakes on Push() instead of polling:
+// a dump pushed from another thread is delivered with poll_wait never
+// called, and Close() ends the stream.
+TEST_F(StreamTest, LiveFeedWakesOnPushWithoutPolling) {
+  const broker::DumpFileMeta* meta = nullptr;
+  for (const auto& f : broker_->index().files()) {
+    if (f.type == DumpType::Rib) {
+      meta = &f;
+      break;
+    }
+  }
+  ASSERT_NE(meta, nullptr);
+  size_t want = 0;
+  {
+    SingleFileInterface sfi(meta->path, DumpType::Rib);
+    BgpStream direct;
+    direct.SetInterval(0, 4102444800);
+    direct.SetDataInterface(&sfi);
+    ASSERT_TRUE(direct.Start().ok());
+    while (direct.NextRecord()) ++want;
+  }
+  ASSERT_GT(want, 0u);
+
+  LiveFeedInterface feed;
+  BgpStream::Options sopt;
+  size_t polls = 0;
+  sopt.poll_wait = [&polls] { ++polls; };
+  BgpStream stream(sopt);
+  stream.SetLive(0);
+  stream.SetDataInterface(&feed);
+  ASSERT_TRUE(stream.Start().ok());
+
+  // The feed is closed only after the first record arrived (or after a
+  // generous bound, so a lost wake-up fails below instead of hanging):
+  // that record can only have come from the Push() wake-up.
+  std::promise<void> got_first;
+  std::future<void> first = got_first.get_future();
+  bool closed_before_first = false;
+  std::thread pusher([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    feed.Push(*meta);
+    closed_before_first = first.wait_for(std::chrono::seconds(30)) !=
+                          std::future_status::ready;
+    feed.Close();
+  });
+  size_t got = 0;
+  while (auto rec = stream.NextRecord()) {
+    if (got++ == 0) got_first.set_value();
+  }
+  pusher.join();
+  EXPECT_FALSE(closed_before_first);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(polls, 0u);
+  EXPECT_TRUE(stream.status().ok());
 }
 
 TEST_F(StreamTest, BgpReaderProducesParseableLines) {

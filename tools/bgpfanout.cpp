@@ -240,7 +240,9 @@ int main(int argc, char** argv) {
 
   broker::Broker broker(archive, {});
   core::BrokerDataInterface di(&broker);
-  auto stream = (*pool)->CreateStream({}, {.name = "publisher"});
+  StreamPool::TenantOptions tenant;
+  tenant.name = "publisher";
+  auto stream = (*pool)->CreateStream({}, tenant);
   stream->SetInterval(window_start, window_end);
   stream->SetDataInterface(&di);
   if (Status st = stream->Start(); !st.ok()) return fail(st.ToString());

@@ -214,14 +214,13 @@ int main(int argc, char** argv) {
   auto source = pool::LiveSource::Create(std::move(sopt));
   if (!source.ok()) return fail(source.status().ToString());
 
-  // The live tenant: a deadline-class stream polling the feed. The
-  // 10 ms poll keeps record latency low without busy-waiting.
-  core::BgpStream::Options topt;
-  topt.poll_wait = [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  };
-  auto stream = (*pool)->CreateStream(
-      std::move(topt), {.weight = 4, .deadline = true, .name = "live"});
+  // The live tenant: a deadline-class stream that wakes whenever the
+  // source publishes a micro-dump to the feed.
+  StreamPool::TenantOptions tenant;
+  tenant.weight = 4;
+  tenant.deadline = true;
+  tenant.name = "live";
+  auto stream = (*pool)->CreateStream({}, tenant);
   stream->SetLive(0);
   stream->SetDataInterface((*source)->feed());
   if (Status st = stream->Start(); !st.ok()) return fail(st.ToString());

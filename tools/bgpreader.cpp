@@ -393,7 +393,8 @@ int main(int argc, char** argv) {
   bool stats_done = false;
   if (pool && pool_stats_interval > 0.0) {
     auto interval = std::chrono::duration<double>(pool_stats_interval);
-    stats_thread = std::thread([&] {
+    // `interval` by value: it goes out of scope before the thread ends.
+    stats_thread = std::thread([&, interval] {
       std::unique_lock<std::mutex> lock(stats_mu);
       while (!stats_cv.wait_for(lock, interval, [&] { return stats_done; })) {
         DumpPoolStats(*pool, stats_json, stats_out);
