@@ -53,6 +53,14 @@ class AsPath {
   bool empty() const { return segments_.empty(); }
 
   void append_segment(AsPathSegment seg) { segments_.push_back(std::move(seg)); }
+  // Appends an empty segment of `type` and returns it for filling in
+  // place (the wire decoder's path: no segment is built and then moved).
+  AsPathSegment& emplace_segment(SegmentType type) {
+    AsPathSegment& seg = segments_.emplace_back();
+    seg.type = type;
+    return seg;
+  }
+  void clear() { segments_.clear(); }
   // Prepends `asn` to the leading AS_SEQUENCE (creating one if needed) —
   // what a router does when exporting a route (RFC 4271 §5.1.2).
   void prepend(Asn asn);

@@ -42,28 +42,27 @@ Bytes EncodeAsPathBody(const AsPath& path, AsnEncoding enc) {
   return w.take();
 }
 
-Result<AsPath> DecodeAsPathBody(BufReader r, AsnEncoding enc) {
-  AsPath path;
+// Appends the segments of one AS_PATH attribute body to `path`.
+Status DecodeAsPathBodyInto(BufReader r, AsnEncoding enc, AsPath* path) {
   while (!r.empty()) {
     BGPS_ASSIGN_OR_RETURN(uint8_t type, r.u8());
     if (type != uint8_t(SegmentType::AsSet) &&
         type != uint8_t(SegmentType::AsSequence))
       return CorruptError("bad AS path segment type " + std::to_string(type));
     BGPS_ASSIGN_OR_RETURN(uint8_t count, r.u8());
-    AsPathSegment seg{SegmentType(type), {}};
-    seg.asns.reserve(count);
+    AsnVec& asns = path->emplace_segment(SegmentType(type)).asns;
+    asns.reserve(count);
     for (int i = 0; i < count; ++i) {
       if (enc == AsnEncoding::FourByte) {
         BGPS_ASSIGN_OR_RETURN(uint32_t a, r.u32());
-        seg.asns.push_back(a);
+        asns.push_back(a);
       } else {
         BGPS_ASSIGN_OR_RETURN(uint16_t a, r.u16());
-        seg.asns.push_back(a);
+        asns.push_back(a);
       }
     }
-    path.append_segment(std::move(seg));
   }
-  return path;
+  return OkStatus();
 }
 
 void WriteIpBytes(BufWriter& w, const IpAddress& a) {
@@ -75,8 +74,8 @@ Result<IpAddress> ReadIpBytes(BufReader& r, IpFamily family) {
     BGPS_ASSIGN_OR_RETURN(uint32_t v, r.u32());
     return IpAddress::V4(v);
   }
-  BGPS_ASSIGN_OR_RETURN(Bytes b, r.bytes(16));
-  std::array<uint8_t, 16> arr{};
+  BGPS_ASSIGN_OR_RETURN(auto b, r.view(16));
+  std::array<uint8_t, 16> arr;
   std::copy(b.begin(), b.end(), arr.begin());
   return IpAddress::V6(arr);
 }
@@ -173,11 +172,10 @@ Bytes EncodePathAttributes(const PathAttributes& attrs, AsnEncoding enc) {
   return w.take();
 }
 
-Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
-                                            AsnEncoding enc,
-                                            AttrDecodeCtx* ctx) {
+Status DecodePathAttributesInto(BufReader& r, size_t len, AsnEncoding enc,
+                                AttrDecodeCtx* ctx, PathAttributes* out) {
   BGPS_ASSIGN_OR_RETURN(BufReader block, r.sub(len));
-  PathAttributes attrs;
+  PathAttributes& attrs = *out;
   while (!block.empty()) {
     BGPS_ASSIGN_OR_RETURN(uint8_t flags, block.u8());
     BGPS_ASSIGN_OR_RETURN(uint8_t type, block.u8());
@@ -202,18 +200,16 @@ Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
       }
       case AttrType::AsPath: {
         AsPathCache* cache = ctx ? ctx->aspath_cache : nullptr;
-        if (cache) {
-          std::string_view key(reinterpret_cast<const char*>(body_bytes.data()),
-                               body_bytes.size());
-          if (const AsPath* hit = cache->Find(key, enc)) {
-            attrs.as_path = *hit;
-          } else {
-            BGPS_ASSIGN_OR_RETURN(AsPath p, DecodeAsPathBody(body, enc));
-            attrs.as_path = *cache->Insert(key, enc, std::move(p));
-          }
-        } else {
-          BGPS_ASSIGN_OR_RETURN(attrs.as_path, DecodeAsPathBody(body, enc));
+        std::string_view key(reinterpret_cast<const char*>(body_bytes.data()),
+                             body_bytes.size());
+        if (const AsPath* hit = cache ? cache->Find(key, enc) : nullptr) {
+          attrs.as_path = *hit;
+          break;
         }
+        // A repeated AS_PATH attribute replaces the earlier one.
+        attrs.as_path.clear();
+        BGPS_RETURN_IF_ERROR(DecodeAsPathBodyInto(body, enc, &attrs.as_path));
+        if (cache) cache->Insert(key, enc, attrs.as_path);
         break;
       }
       case AttrType::NextHop: {
@@ -255,7 +251,7 @@ Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
         break;
       }
       case AttrType::MpReachNlri: {
-        MpReach mp;
+        MpReach& mp = attrs.mp_reach.emplace();
         BGPS_ASSIGN_OR_RETURN(mp.afi, body.u16());
         BGPS_ASSIGN_OR_RETURN(mp.safi, body.u8());
         BGPS_ASSIGN_OR_RETURN(uint8_t nhlen, body.u8());
@@ -274,11 +270,10 @@ Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
           BGPS_ASSIGN_OR_RETURN(Prefix p, DecodeNlriPrefix(body, fam));
           mp.nlri.push_back(p);
         }
-        attrs.mp_reach = std::move(mp);
         break;
       }
       case AttrType::MpUnreachNlri: {
-        MpUnreach mp;
+        MpUnreach& mp = attrs.mp_unreach.emplace();
         BGPS_ASSIGN_OR_RETURN(mp.afi, body.u16());
         BGPS_ASSIGN_OR_RETURN(mp.safi, body.u8());
         IpFamily fam = mp.afi == kAfiIpv4 ? IpFamily::V4 : IpFamily::V6;
@@ -286,7 +281,6 @@ Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
           BGPS_ASSIGN_OR_RETURN(Prefix p, DecodeNlriPrefix(body, fam));
           mp.withdrawn.push_back(p);
         }
-        attrs.mp_unreach = std::move(mp);
         break;
       }
       default:
@@ -295,6 +289,14 @@ Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
         break;
     }
   }
+  return OkStatus();
+}
+
+Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
+                                            AsnEncoding enc,
+                                            AttrDecodeCtx* ctx) {
+  PathAttributes attrs;
+  BGPS_RETURN_IF_ERROR(DecodePathAttributesInto(r, len, enc, ctx, &attrs));
   return attrs;
 }
 

@@ -122,8 +122,14 @@ struct AttrDecodeCtx {
 // but at a different position).
 Bytes EncodePathAttributes(const PathAttributes& attrs, AsnEncoding enc);
 
-// Decodes `len` bytes of attributes from `r`. `ctx`, when given, enables
-// the per-dump AS-path intern cache.
+// Decodes `len` bytes of attributes from `r` straight into `*out`, which
+// must be default-constructed. On a non-OK status the contents of `*out`
+// are unspecified; the caller resets or discards it. `ctx`, when given,
+// enables the per-dump AS-path intern cache.
+Status DecodePathAttributesInto(BufReader& r, size_t len, AsnEncoding enc,
+                                AttrDecodeCtx* ctx, PathAttributes* out);
+
+// Value-returning form of DecodePathAttributesInto.
 Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
                                             AsnEncoding enc,
                                             AttrDecodeCtx* ctx = nullptr);

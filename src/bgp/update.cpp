@@ -44,31 +44,37 @@ Result<std::pair<MessageType, size_t>> DecodeBgpHeader(BufReader& r) {
   return std::make_pair(MessageType(type), size_t(len) - kBgpHeaderSize);
 }
 
-Result<UpdateMessage> DecodeUpdate(BufReader& r, AsnEncoding enc,
-                                   AttrDecodeCtx* ctx) {
+Status DecodeUpdateInto(BufReader& r, AsnEncoding enc, AttrDecodeCtx* ctx,
+                        UpdateMessage* out) {
   BGPS_ASSIGN_OR_RETURN(auto header, DecodeBgpHeader(r));
   auto [type, body_len] = header;
   if (type != MessageType::Update) return CorruptError("not an UPDATE");
   BGPS_ASSIGN_OR_RETURN(BufReader body, r.sub(body_len));
 
-  UpdateMessage update;
   BGPS_ASSIGN_OR_RETURN(uint16_t wd_len, body.u16());
   BGPS_ASSIGN_OR_RETURN(BufReader wd, body.sub(wd_len));
   while (!wd.empty()) {
     BGPS_ASSIGN_OR_RETURN(Prefix p, DecodeNlriPrefix(wd, IpFamily::V4));
-    update.withdrawn.push_back(p);
+    out->withdrawn.push_back(p);
   }
 
   BGPS_ASSIGN_OR_RETURN(uint16_t attr_len, body.u16());
   if (attr_len > 0) {
-    BGPS_ASSIGN_OR_RETURN(update.attrs,
-                          DecodePathAttributes(body, attr_len, enc, ctx));
+    BGPS_RETURN_IF_ERROR(
+        DecodePathAttributesInto(body, attr_len, enc, ctx, &out->attrs));
   }
 
   while (!body.empty()) {
     BGPS_ASSIGN_OR_RETURN(Prefix p, DecodeNlriPrefix(body, IpFamily::V4));
-    update.announced.push_back(p);
+    out->announced.push_back(p);
   }
+  return OkStatus();
+}
+
+Result<UpdateMessage> DecodeUpdate(BufReader& r, AsnEncoding enc,
+                                   AttrDecodeCtx* ctx) {
+  UpdateMessage update;
+  BGPS_RETURN_IF_ERROR(DecodeUpdateInto(r, enc, ctx, &update));
   return update;
 }
 

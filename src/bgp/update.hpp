@@ -23,8 +23,14 @@ struct UpdateMessage {
 // Encodes a complete BGP message (header + body).
 Bytes EncodeUpdate(const UpdateMessage& update, AsnEncoding enc);
 
-// Decodes a complete BGP message; requires type == UPDATE. `ctx`, when
-// given, is forwarded to the attribute decoder (AS-path intern cache).
+// Decodes a complete BGP message into `*out` (default-constructed; its
+// contents are unspecified on a non-OK status); requires type == UPDATE.
+// `ctx`, when given, is forwarded to the attribute decoder (AS-path
+// intern cache).
+Status DecodeUpdateInto(BufReader& r, AsnEncoding enc, AttrDecodeCtx* ctx,
+                        UpdateMessage* out);
+
+// Value-returning form of DecodeUpdateInto.
 Result<UpdateMessage> DecodeUpdate(BufReader& r, AsnEncoding enc,
                                    AttrDecodeCtx* ctx = nullptr);
 

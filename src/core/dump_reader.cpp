@@ -37,8 +37,8 @@ DumpReader::DumpReader(broker::DumpFileMeta meta, const Checkpoint& resume)
   started_ = resume.index > 0;
 }
 
-Record DumpReader::MakeRecord() const {
-  Record rec;
+Record& DumpReader::NewRecord() {
+  Record& rec = lookahead_.emplace();
   rec.project = project_;
   rec.collector = collector_;
   rec.dump_type = meta_.type;
@@ -47,55 +47,56 @@ Record DumpReader::MakeRecord() const {
   return rec;
 }
 
-std::optional<Record> DumpReader::Produce() {
+void DumpReader::Produce() {
   // Capture the record's resume point before framing moves the file
   // position: its byte offset, index, and the peer-index table in
   // effect before it (re-producing a PEER_INDEX_TABLE record from its
   // own checkpoint simply re-ingests the same table).
   lookahead_cp_ = {/*valid=*/!open_failed_, reader_.offset(), produced_,
                    peer_index_};
+  lookahead_.reset();
   if (open_failed_) {
-    if (emitted_open_failure_) return std::nullopt;
+    if (emitted_open_failure_) return;
     emitted_open_failure_ = true;
     ++produced_;
-    Record rec = MakeRecord();
-    rec.status = RecordStatus::CorruptedDump;
-    return rec;
+    NewRecord().status = RecordStatus::CorruptedDump;
+    return;
   }
   auto raw = reader_.Next();
   if (!raw.ok()) {
-    if (raw.status().code() == StatusCode::EndOfStream) return std::nullopt;
+    if (raw.status().code() == StatusCode::EndOfStream) return;
     // Framing broke: emit one CorruptedDump record; reader will then report
     // EndOfStream (no resync possible in MRT).
     ++produced_;
-    Record rec = MakeRecord();
-    rec.status = RecordStatus::CorruptedDump;
-    return rec;
+    NewRecord().status = RecordStatus::CorruptedDump;
+    return;
   }
 
   ++produced_;
-  Record rec = MakeRecord();
+  Record& rec = NewRecord();
   rec.timestamp = raw->timestamp;
-  auto msg = mrt::DecodeRecord(*raw, &decode_ctx_);
-  if (!msg.ok()) {
-    rec.status = msg.status().code() == StatusCode::Unsupported
+  // Decode straight into the record; a failed decode leaves a partly
+  // filled body behind, so reset it to the default a failed record has
+  // always carried.
+  Status st = mrt::DecodeRecordInto(*raw, &decode_ctx_, &rec.msg);
+  if (!st.ok()) {
+    rec.status = st.code() == StatusCode::Unsupported
                      ? RecordStatus::Unsupported
                      : RecordStatus::CorruptedRecord;
-    return rec;
+    rec.msg = mrt::MrtMessage();
+    return;
   }
-  rec.msg = std::move(*msg);
   if (rec.msg.is_peer_index()) {
     peer_index_ = std::make_shared<mrt::PeerIndexTable>(
         std::get<mrt::PeerIndexTable>(rec.msg.body));
   }
   rec.peer_index = peer_index_;
-  return rec;
 }
 
 std::optional<Timestamp> DumpReader::PeekTimestamp() {
   if (done_) return std::nullopt;
   if (!lookahead_) {
-    lookahead_ = Produce();
+    Produce();
     if (!lookahead_) {
       done_ = true;
       return std::nullopt;
@@ -155,24 +156,26 @@ size_t DumpReader::Skip(size_t n) {
 std::optional<Record> DumpReader::Next() {
   if (done_) return std::nullopt;
   if (!lookahead_) {
-    lookahead_ = Produce();
+    Produce();
     if (!lookahead_) {
       done_ = true;
       return std::nullopt;
     }
   }
-  Record out = std::move(*lookahead_);
+  // The record was decoded in place in the lookahead slot; this is its
+  // one move on the way out.
+  std::optional<Record> out = std::move(lookahead_);
   last_cp_ = lookahead_cp_;  // before Produce overwrites it
-  lookahead_ = Produce();
+  Produce();
   if (!started_) {
-    out.position = DumpPosition::Start;
+    out->position = DumpPosition::Start;
     started_ = true;
   }
   if (!lookahead_) {
     done_ = true;
     // A single-record dump is both Start and End; End wins so users can
     // still collate RIB dumps (the RT plugin keys on End to commit).
-    out.position = DumpPosition::End;
+    out->position = DumpPosition::End;
   }
   return out;
 }

@@ -94,9 +94,11 @@ class DumpReader {
   const bgp::AsPathCache& aspath_cache() const { return aspath_cache_; }
 
  private:
-  // Produces the next record from the file, ignoring lookahead.
-  std::optional<Record> Produce();
-  Record MakeRecord() const;
+  // Produces the next record from the file into `lookahead_`, decoding
+  // in place; leaves it empty at the end of the dump.
+  void Produce();
+  // Replaces `lookahead_` with a fresh record stamped with provenance.
+  Record& NewRecord();
 
   broker::DumpFileMeta meta_;
   mrt::MrtFileReader reader_;

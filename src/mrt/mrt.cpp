@@ -13,8 +13,8 @@ Result<IpAddress> ReadIp(BufReader& r, IpFamily family) {
     BGPS_ASSIGN_OR_RETURN(uint32_t v, r.u32());
     return IpAddress::V4(v);
   }
-  BGPS_ASSIGN_OR_RETURN(Bytes b, r.bytes(16));
-  std::array<uint8_t, 16> arr{};
+  BGPS_ASSIGN_OR_RETURN(auto b, r.view(16));
+  std::array<uint8_t, 16> arr;
   std::copy(b.begin(), b.end(), arr.begin());
   return IpAddress::V6(arr);
 }
@@ -25,16 +25,15 @@ Result<IpFamily> FamilyFromAfi(uint16_t afi) {
   return CorruptError("bad AFI " + std::to_string(afi));
 }
 
-Result<PeerIndexTable> DecodePeerIndexTable(BufReader& r) {
-  PeerIndexTable pit;
-  BGPS_ASSIGN_OR_RETURN(pit.collector_bgp_id, r.u32());
+Status DecodePeerIndexTableInto(BufReader& r, PeerIndexTable* pit) {
+  BGPS_ASSIGN_OR_RETURN(pit->collector_bgp_id, r.u32());
   BGPS_ASSIGN_OR_RETURN(uint16_t name_len, r.u16());
-  BGPS_ASSIGN_OR_RETURN(pit.view_name, r.str(name_len));
+  BGPS_ASSIGN_OR_RETURN(pit->view_name, r.str(name_len));
   BGPS_ASSIGN_OR_RETURN(uint16_t count, r.u16());
-  pit.peers.reserve(count);
+  pit->peers.reserve(count);
   for (int i = 0; i < count; ++i) {
     BGPS_ASSIGN_OR_RETURN(uint8_t type, r.u8());
-    PeerEntry pe;
+    PeerEntry& pe = pit->peers.emplace_back();
     BGPS_ASSIGN_OR_RETURN(pe.bgp_id, r.u32());
     IpFamily fam = (type & kPeerTypeIpv6) ? IpFamily::V6 : IpFamily::V4;
     BGPS_ASSIGN_OR_RETURN(pe.address, ReadIp(r, fam));
@@ -44,86 +43,82 @@ Result<PeerIndexTable> DecodePeerIndexTable(BufReader& r) {
       BGPS_ASSIGN_OR_RETURN(uint16_t a, r.u16());
       pe.asn = a;
     }
-    pit.peers.push_back(std::move(pe));
   }
-  return pit;
+  return OkStatus();
 }
 
-Result<RibPrefix> DecodeRibPrefix(BufReader& r, IpFamily family,
-                                  bgp::AttrDecodeCtx* ctx) {
-  RibPrefix rib;
-  BGPS_ASSIGN_OR_RETURN(rib.sequence, r.u32());
-  BGPS_ASSIGN_OR_RETURN(rib.prefix, bgp::DecodeNlriPrefix(r, family));
+// Entries are emplaced and their attributes decoded in place: a RIB
+// record's PathAttributes are never built elsewhere and moved in.
+Status DecodeRibPrefixInto(BufReader& r, IpFamily family,
+                           bgp::AttrDecodeCtx* ctx, RibPrefix* rib) {
+  BGPS_ASSIGN_OR_RETURN(rib->sequence, r.u32());
+  BGPS_ASSIGN_OR_RETURN(rib->prefix, bgp::DecodeNlriPrefix(r, family));
   BGPS_ASSIGN_OR_RETURN(uint16_t count, r.u16());
-  rib.entries.reserve(count);
+  rib->entries.reserve(count);
   for (int i = 0; i < count; ++i) {
-    RibEntry e;
+    RibEntry& e = rib->entries.emplace_back();
     BGPS_ASSIGN_OR_RETURN(e.peer_index, r.u16());
     BGPS_ASSIGN_OR_RETURN(uint32_t otime, r.u32());
     e.originated_time = otime;
     BGPS_ASSIGN_OR_RETURN(uint16_t attr_len, r.u16());
-    BGPS_ASSIGN_OR_RETURN(
-        e.attrs, bgp::DecodePathAttributes(r, attr_len,
-                                           bgp::AsnEncoding::FourByte, ctx));
-    rib.entries.push_back(std::move(e));
+    BGPS_RETURN_IF_ERROR(bgp::DecodePathAttributesInto(
+        r, attr_len, bgp::AsnEncoding::FourByte, ctx, &e.attrs));
   }
-  return rib;
+  return OkStatus();
 }
 
-Result<Bgp4mpMessage> DecodeBgp4mpMessage(BufReader& r, bool as4,
-                                          bgp::AttrDecodeCtx* ctx) {
-  Bgp4mpMessage msg;
+Status DecodeBgp4mpMessageInto(BufReader& r, bool as4, bgp::AttrDecodeCtx* ctx,
+                               Bgp4mpMessage* msg) {
   if (as4) {
-    BGPS_ASSIGN_OR_RETURN(msg.peer_asn, r.u32());
-    BGPS_ASSIGN_OR_RETURN(msg.local_asn, r.u32());
+    BGPS_ASSIGN_OR_RETURN(msg->peer_asn, r.u32());
+    BGPS_ASSIGN_OR_RETURN(msg->local_asn, r.u32());
   } else {
     BGPS_ASSIGN_OR_RETURN(uint16_t pa, r.u16());
     BGPS_ASSIGN_OR_RETURN(uint16_t la, r.u16());
-    msg.peer_asn = pa;
-    msg.local_asn = la;
+    msg->peer_asn = pa;
+    msg->local_asn = la;
   }
-  BGPS_ASSIGN_OR_RETURN(msg.interface_index, r.u16());
+  BGPS_ASSIGN_OR_RETURN(msg->interface_index, r.u16());
   BGPS_ASSIGN_OR_RETURN(uint16_t afi, r.u16());
   BGPS_ASSIGN_OR_RETURN(IpFamily fam, FamilyFromAfi(afi));
-  BGPS_ASSIGN_OR_RETURN(msg.peer_address, ReadIp(r, fam));
-  BGPS_ASSIGN_OR_RETURN(msg.local_address, ReadIp(r, fam));
+  BGPS_ASSIGN_OR_RETURN(msg->peer_address, ReadIp(r, fam));
+  BGPS_ASSIGN_OR_RETURN(msg->local_address, ReadIp(r, fam));
   // Peek the BGP header to learn the message type before full decode.
   {
     BufReader peek = r;
     BGPS_ASSIGN_OR_RETURN(auto hdr, bgp::DecodeBgpHeader(peek));
-    msg.message_type = hdr.first;
+    msg->message_type = hdr.first;
   }
-  if (msg.message_type == bgp::MessageType::Update) {
-    BGPS_ASSIGN_OR_RETURN(
-        msg.update,
-        bgp::DecodeUpdate(r, as4 ? bgp::AsnEncoding::FourByte
-                                 : bgp::AsnEncoding::TwoByte, ctx));
+  if (msg->message_type == bgp::MessageType::Update) {
+    BGPS_RETURN_IF_ERROR(bgp::DecodeUpdateInto(
+        r, as4 ? bgp::AsnEncoding::FourByte : bgp::AsnEncoding::TwoByte, ctx,
+        &msg->update));
   }
-  return msg;
+  return OkStatus();
 }
 
-Result<Bgp4mpStateChange> DecodeBgp4mpStateChange(BufReader& r, bool as4) {
-  Bgp4mpStateChange sc;
+Status DecodeBgp4mpStateChangeInto(BufReader& r, bool as4,
+                                   Bgp4mpStateChange* sc) {
   if (as4) {
-    BGPS_ASSIGN_OR_RETURN(sc.peer_asn, r.u32());
-    BGPS_ASSIGN_OR_RETURN(sc.local_asn, r.u32());
+    BGPS_ASSIGN_OR_RETURN(sc->peer_asn, r.u32());
+    BGPS_ASSIGN_OR_RETURN(sc->local_asn, r.u32());
   } else {
     BGPS_ASSIGN_OR_RETURN(uint16_t pa, r.u16());
     BGPS_ASSIGN_OR_RETURN(uint16_t la, r.u16());
-    sc.peer_asn = pa;
-    sc.local_asn = la;
+    sc->peer_asn = pa;
+    sc->local_asn = la;
   }
-  BGPS_ASSIGN_OR_RETURN(sc.interface_index, r.u16());
+  BGPS_ASSIGN_OR_RETURN(sc->interface_index, r.u16());
   BGPS_ASSIGN_OR_RETURN(uint16_t afi, r.u16());
   BGPS_ASSIGN_OR_RETURN(IpFamily fam, FamilyFromAfi(afi));
-  BGPS_ASSIGN_OR_RETURN(sc.peer_address, ReadIp(r, fam));
-  BGPS_ASSIGN_OR_RETURN(sc.local_address, ReadIp(r, fam));
+  BGPS_ASSIGN_OR_RETURN(sc->peer_address, ReadIp(r, fam));
+  BGPS_ASSIGN_OR_RETURN(sc->local_address, ReadIp(r, fam));
   BGPS_ASSIGN_OR_RETURN(uint16_t old_s, r.u16());
   BGPS_ASSIGN_OR_RETURN(uint16_t new_s, r.u16());
   if (old_s > 6 || new_s > 6) return CorruptError("bad FSM state code");
-  sc.old_state = bgp::FsmState(old_s);
-  sc.new_state = bgp::FsmState(new_s);
-  return sc;
+  sc->old_state = bgp::FsmState(old_s);
+  sc->new_state = bgp::FsmState(new_s);
+  return OkStatus();
 }
 
 }  // namespace
@@ -148,29 +143,23 @@ Result<RawRecord> DecodeRawRecord(BufReader& r) {
   return raw;
 }
 
-Result<MrtMessage> DecodeRecord(const RawRecord& raw, bgp::AttrDecodeCtx* ctx) {
-  MrtMessage msg;
-  msg.timestamp = raw.timestamp;
-  msg.microseconds = raw.microseconds;
+Status DecodeRecordInto(const RawRecord& raw, bgp::AttrDecodeCtx* ctx,
+                        MrtMessage* out) {
+  out->timestamp = raw.timestamp;
+  out->microseconds = raw.microseconds;
   BufReader r(raw.body);
 
   if (raw.type == uint16_t(MrtType::TableDumpV2)) {
     switch (TableDumpV2Subtype(raw.subtype)) {
-      case TableDumpV2Subtype::PeerIndexTable: {
-        BGPS_ASSIGN_OR_RETURN(auto pit, DecodePeerIndexTable(r));
-        msg.body = std::move(pit);
-        return msg;
-      }
-      case TableDumpV2Subtype::RibIpv4Unicast: {
-        BGPS_ASSIGN_OR_RETURN(auto rib, DecodeRibPrefix(r, IpFamily::V4, ctx));
-        msg.body = std::move(rib);
-        return msg;
-      }
-      case TableDumpV2Subtype::RibIpv6Unicast: {
-        BGPS_ASSIGN_OR_RETURN(auto rib, DecodeRibPrefix(r, IpFamily::V6, ctx));
-        msg.body = std::move(rib);
-        return msg;
-      }
+      case TableDumpV2Subtype::PeerIndexTable:
+        return DecodePeerIndexTableInto(
+            r, &out->body.emplace<PeerIndexTable>());
+      case TableDumpV2Subtype::RibIpv4Unicast:
+        return DecodeRibPrefixInto(r, IpFamily::V4, ctx,
+                                   &out->body.emplace<RibPrefix>());
+      case TableDumpV2Subtype::RibIpv6Unicast:
+        return DecodeRibPrefixInto(r, IpFamily::V6, ctx,
+                                   &out->body.emplace<RibPrefix>());
     }
     return UnsupportedError("TABLE_DUMP_V2 subtype " +
                             std::to_string(raw.subtype));
@@ -182,23 +171,27 @@ Result<MrtMessage> DecodeRecord(const RawRecord& raw, bgp::AttrDecodeCtx* ctx) {
       case Bgp4mpSubtype::Message:
       case Bgp4mpSubtype::MessageAs4: {
         bool as4 = Bgp4mpSubtype(raw.subtype) == Bgp4mpSubtype::MessageAs4;
-        BGPS_ASSIGN_OR_RETURN(auto m, DecodeBgp4mpMessage(r, as4, ctx));
-        msg.body = std::move(m);
-        return msg;
+        return DecodeBgp4mpMessageInto(r, as4, ctx,
+                                       &out->body.emplace<Bgp4mpMessage>());
       }
       case Bgp4mpSubtype::StateChange:
       case Bgp4mpSubtype::StateChangeAs4: {
         bool as4 =
             Bgp4mpSubtype(raw.subtype) == Bgp4mpSubtype::StateChangeAs4;
-        BGPS_ASSIGN_OR_RETURN(auto sc, DecodeBgp4mpStateChange(r, as4));
-        msg.body = std::move(sc);
-        return msg;
+        return DecodeBgp4mpStateChangeInto(
+            r, as4, &out->body.emplace<Bgp4mpStateChange>());
       }
     }
     return UnsupportedError("BGP4MP subtype " + std::to_string(raw.subtype));
   }
 
   return UnsupportedError("MRT type " + std::to_string(raw.type));
+}
+
+Result<MrtMessage> DecodeRecord(const RawRecord& raw, bgp::AttrDecodeCtx* ctx) {
+  MrtMessage msg;
+  BGPS_RETURN_IF_ERROR(DecodeRecordInto(raw, ctx, &msg));
+  return msg;
 }
 
 }  // namespace bgps::mrt

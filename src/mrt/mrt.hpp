@@ -131,10 +131,18 @@ struct MrtMessage {
 // Frames one record out of `r` (which may hold many concatenated records).
 Result<RawRecord> DecodeRawRecord(BufReader& r);
 
-// Decodes the body of a framed record. Unknown (type, subtype) pairs yield
-// StatusCode::Unsupported; malformed bodies yield Corrupt. `ctx`, when
-// given, is threaded into the attribute decoder (per-dump AS-path intern
-// cache — see bgp::AttrDecodeCtx).
+// Decodes the body of a framed record straight into `*out`: emplaces the
+// body alternative the (type, subtype) selects and decodes into it.
+// Unknown (type, subtype) pairs yield StatusCode::Unsupported; malformed
+// bodies yield Corrupt. `*out` must be default-constructed; on a non-OK
+// status its contents are unspecified and the caller resets it. `ctx`,
+// when given, is threaded into the attribute decoder (per-dump AS-path
+// intern cache — see bgp::AttrDecodeCtx).
+Status DecodeRecordInto(const RawRecord& raw, bgp::AttrDecodeCtx* ctx,
+                        MrtMessage* out);
+
+// Value-returning form of DecodeRecordInto (tests, tools, benches; the
+// stream path decodes in place through core::DumpReader).
 Result<MrtMessage> DecodeRecord(const RawRecord& raw,
                                 bgp::AttrDecodeCtx* ctx = nullptr);
 

@@ -2,28 +2,10 @@
 
 namespace bgps {
 
-Result<uint8_t> BufReader::u8() {
-  if (remaining() < 1) return OutOfRange("u8 past end");
-  return data_[pos_++];
-}
-
-Result<uint16_t> BufReader::u16() {
-  if (remaining() < 2) return OutOfRange("u16 past end");
-  uint16_t v = (uint16_t(data_[pos_]) << 8) | uint16_t(data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-Result<uint32_t> BufReader::u32() {
-  if (remaining() < 4) return OutOfRange("u32 past end");
-  uint32_t v = (uint32_t(data_[pos_]) << 24) | (uint32_t(data_[pos_ + 1]) << 16) |
-               (uint32_t(data_[pos_ + 2]) << 8) | uint32_t(data_[pos_ + 3]);
-  pos_ += 4;
-  return v;
-}
+Status BufReader::ReadPastEnd(const char* what) { return OutOfRange(what); }
 
 Result<uint64_t> BufReader::u64() {
-  if (remaining() < 8) return OutOfRange("u64 past end");
+  if (remaining() < 8) return ReadPastEnd("u64 past end");
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + i];
   pos_ += 8;
@@ -31,37 +13,17 @@ Result<uint64_t> BufReader::u64() {
 }
 
 Result<Bytes> BufReader::bytes(size_t n) {
-  if (remaining() < n) return OutOfRange("bytes past end");
+  if (remaining() < n) return ReadPastEnd("bytes past end");
   Bytes out(data_.begin() + pos_, data_.begin() + pos_ + n);
   pos_ += n;
   return out;
 }
 
-Result<std::span<const uint8_t>> BufReader::view(size_t n) {
-  if (remaining() < n) return OutOfRange("view past end");
-  auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
-
 Result<std::string> BufReader::str(size_t n) {
-  if (remaining() < n) return OutOfRange("str past end");
+  if (remaining() < n) return ReadPastEnd("str past end");
   std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);
   pos_ += n;
   return out;
-}
-
-Status BufReader::skip(size_t n) {
-  if (remaining() < n) return OutOfRange("skip past end");
-  pos_ += n;
-  return OkStatus();
-}
-
-Result<BufReader> BufReader::sub(size_t n) {
-  if (remaining() < n) return OutOfRange("sub past end");
-  BufReader r(data_.subspan(pos_, n));
-  pos_ += n;
-  return r;
 }
 
 void BufWriter::u8(uint8_t v) { out_.push_back(v); }
