@@ -15,6 +15,7 @@
 #include <random>
 #include <thread>
 
+#include "core/dump_reader.hpp"
 #include "core/elem.hpp"
 #include "core/filter.hpp"
 #include "core/stream.hpp"
@@ -424,6 +425,76 @@ void BM_StreamGeneratedCorpus(benchmark::State& state) {
       double(elems) / double(state.iterations());
 }
 BGPS_STREAM_BENCH(BM_StreamGeneratedCorpus);
+
+// --- Production-path decode: DumpReader over generated dumps --------------
+//
+// BM_MrtDecodeUpdate and BM_RibRecordDecode above time the cache-free
+// mrt::DecodeRecord over one hand-built record, which the stream never
+// runs. Production decodes through core::DumpReader: framing out of the
+// file reader's reused buffer, the per-dump AS-path cache, and in-place
+// decode into the record's lookahead slot. These two time that loop
+// (open + DumpReader::Next until the dump ends, no elem extraction), per
+// record: a generated RIB dump, and the generated corpus's updates dumps.
+
+std::string& GeneratedRibDir() {
+  static std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("bgps-bench-rib-" + std::to_string(::getpid()))).string();
+  return dir;
+}
+
+const std::vector<broker::DumpFileMeta>& GetGeneratedRibDump() {
+  static const std::vector<broker::DumpFileMeta>* files = [] {
+    auto* out = new std::vector<broker::DumpFileMeta>();
+    std::atexit([] {
+      std::error_code ec;
+      std::filesystem::remove_all(GeneratedRibDir(), ec);
+    });
+    sim::SyntheticRibOptions options;
+    options.prefixes = 50'000;
+    options.vps = 4;
+    options.update_windows = 0;
+    options.final_rib = false;
+    options.seed = 12;
+    if (!sim::GenerateSyntheticRib(options, GeneratedRibDir()).ok())
+      std::abort();
+    broker::ArchiveIndex index(GeneratedRibDir());
+    if (!index.Rescan().ok()) std::abort();
+    *out = index.files();
+    return out;
+  }();
+  return *files;
+}
+
+void DumpReaderDecode(benchmark::State& state,
+                      const std::vector<broker::DumpFileMeta>& files) {
+  size_t records = 0;
+  for (auto _ : state) {
+    for (const auto& meta : files) {
+      core::DumpReader reader(meta);
+      while (auto rec = reader.Next()) {
+        ++records;
+        benchmark::DoNotOptimize(rec->msg);
+      }
+    }
+  }
+  state.SetItemsProcessed(int64_t(records));
+  state.counters["records_per_run"] =
+      double(records) / double(state.iterations());
+}
+
+void BM_DumpReaderRibDecode(benchmark::State& state) {
+  DumpReaderDecode(state, GetGeneratedRibDump());
+}
+BENCHMARK(BM_DumpReaderRibDecode)->Unit(benchmark::kMillisecond);
+
+void BM_DumpReaderUpdatesDecode(benchmark::State& state) {
+  std::vector<broker::DumpFileMeta> updates;
+  for (const auto& meta : GetGeneratedCorpus())
+    if (meta.type == broker::DumpType::Updates) updates.push_back(meta);
+  DumpReaderDecode(state, updates);
+}
+BENCHMARK(BM_DumpReaderUpdatesDecode)->Unit(benchmark::kMillisecond);
 
 // --- Multi-tenant: shared StreamPool vs private per-stream pipelines ------
 //

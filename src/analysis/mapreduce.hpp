@@ -78,10 +78,11 @@ auto RunPartitioned(const std::vector<Partition>& partitions, Fn&& fn,
   for (size_t i = 0; i < partitions.size(); ++i) {
     tenant->Submit([&, i] {
       results[i] = fn(partitions[i]);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++done;
-      }
+      // Notify while holding the lock: once `done` reaches the total the
+      // caller may return and destroy the stack-local mutex and condition
+      // variable, so neither may be touched after the unlock.
+      std::lock_guard<std::mutex> lock(mu);
+      ++done;
       done_cv.notify_one();
     });
   }
