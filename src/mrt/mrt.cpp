@@ -14,7 +14,7 @@ Result<IpAddress> ReadIp(BufReader& r, IpFamily family) {
     return IpAddress::V4(v);
   }
   BGPS_ASSIGN_OR_RETURN(auto b, r.view(16));
-  std::array<uint8_t, 16> arr;
+  std::array<uint8_t, 16> arr{};
   std::copy(b.begin(), b.end(), arr.begin());
   return IpAddress::V6(arr);
 }
