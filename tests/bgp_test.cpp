@@ -234,6 +234,33 @@ TEST(PathAttributes, UnknownAttributeSkipped) {
   EXPECT_EQ(decoded->origin, Origin::Incomplete);
 }
 
+// A block that repeats AS_PATH decodes to the last occurrence, with and
+// without the per-dump intern cache (where the first occurrence is a
+// cache hit on the second decode).
+TEST(PathAttributes, RepeatedAsPathKeepsTheLastOne) {
+  BufWriter w;
+  for (const std::vector<Asn>& hops :
+       {std::vector<Asn>{65001, 3356}, std::vector<Asn>{64512, 174, 2914}}) {
+    w.u8(0x40);  // transitive
+    w.u8(2);     // AS_PATH
+    w.u8(uint8_t(2 + 4 * hops.size()));
+    w.u8(2);  // AS_SEQUENCE
+    w.u8(uint8_t(hops.size()));
+    for (Asn a : hops) w.u32(a);
+  }
+  Arena arena;
+  AsPathCache cache(&arena);
+  AttrDecodeCtx ctx{&cache};
+  for (AttrDecodeCtx* c : {static_cast<AttrDecodeCtx*>(nullptr), &ctx, &ctx}) {
+    BufReader r(w.data());
+    auto decoded =
+        DecodePathAttributes(r, w.size(), AsnEncoding::FourByte, c);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->as_path, AsPath::Sequence({64512, 174, 2914}));
+  }
+  EXPECT_EQ(cache.hits(), 2u);
+}
+
 TEST(NlriPrefix, RoundTripLengths) {
   for (int len : {0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32}) {
     Prefix p(IpAddress::V4(0xC0A85A5Au), len);
