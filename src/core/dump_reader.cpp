@@ -75,9 +75,8 @@ void DumpReader::Produce() {
   ++produced_;
   Record& rec = NewRecord();
   rec.timestamp = raw->timestamp;
-  // Decode straight into the record; a failed decode leaves a partly
-  // filled body behind, so reset it to the default a failed record has
-  // always carried.
+  // Decode straight into the record. A failed decode leaves a partly
+  // filled body behind; a failed record carries a default `msg`.
   Status st = mrt::DecodeRecordInto(*raw, &decode_ctx_, &rec.msg);
   if (!st.ok()) {
     rec.status = st.code() == StatusCode::Unsupported

@@ -28,8 +28,9 @@ class BufReader {
   bool empty() const { return remaining() == 0; }
 
   // The fixed-width reads, view(), skip() and sub() run once per field on
-  // the decode hot path, so they are inline; only the failure status is built out
-  // of line (ReadPastEnd), keeping the success path a compare and a load.
+  // the decode hot path, so they are inline; only the failure status is
+  // built out of line (ReadPastEnd), keeping the success path a compare
+  // and a load.
   Result<uint8_t> u8() {
     if (remaining() < 1) [[unlikely]] return ReadPastEnd("u8 past end");
     return data_[pos_++];
