@@ -348,7 +348,7 @@ BGPS_STREAM_BENCH(BM_StreamFullPipeline);
 // scenario engine's corpus has the realistic mix — RIB dumps + updates
 // dumps across two collectors, MOAS/hijack bursts, session resets, a
 // long-tail AS-path distribution — which exercises the decode hot path
-// (AS-path cache, SmallVec spills, per-type dispatch) the way a real
+// (AS-path decode, SmallVec spills, per-type dispatch) the way a real
 // RouteViews/RIS window does. Built lazily once per process, same seed
 // every run, so results are comparable across revisions.
 
@@ -428,13 +428,14 @@ BGPS_STREAM_BENCH(BM_StreamGeneratedCorpus);
 
 // --- Production-path decode: DumpReader over generated dumps --------------
 //
-// BM_MrtDecodeUpdate and BM_RibRecordDecode above time the cache-free
-// mrt::DecodeRecord over one hand-built record, which the stream never
-// runs. Production decodes through core::DumpReader: framing out of the
-// file reader's reused buffer, the per-dump AS-path cache, and in-place
-// decode into the record's lookahead slot. These two time that loop
-// (open + DumpReader::Next until the dump ends, no elem extraction), per
-// record: a generated RIB dump, and the generated corpus's updates dumps.
+// BM_MrtDecodeUpdate and BM_RibRecordDecode above time the production
+// body decoder (mrt::DecodeRecord is the value-returning form of the
+// DecodeRecordInto that DumpReader runs) over one hand-built record in
+// memory. These two time the whole per-dump loop the stream runs
+// through core::DumpReader: framing out of the file reader's reused
+// buffer and in-place decode into the record's lookahead slot (open +
+// DumpReader::Next until the dump ends, no elem extraction), per record:
+// a generated RIB dump, and the generated corpus's updates dumps.
 
 std::string& GeneratedRibDir() {
   static std::string dir =

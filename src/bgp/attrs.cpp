@@ -173,7 +173,7 @@ Bytes EncodePathAttributes(const PathAttributes& attrs, AsnEncoding enc) {
 }
 
 Status DecodePathAttributesInto(BufReader& r, size_t len, AsnEncoding enc,
-                                AttrDecodeCtx* ctx, PathAttributes* out) {
+                                PathAttributes* out) {
   BGPS_ASSIGN_OR_RETURN(BufReader block, r.sub(len));
   PathAttributes& attrs = *out;
   while (!block.empty()) {
@@ -187,10 +187,7 @@ Status DecodePathAttributesInto(BufReader& r, size_t len, AsnEncoding enc,
       BGPS_ASSIGN_OR_RETURN(uint8_t l, block.u8());
       alen = l;
     }
-    // view + reader instead of sub(): the AS_PATH intern cache keys on
-    // the raw attribute bytes.
-    BGPS_ASSIGN_OR_RETURN(auto body_bytes, block.view(alen));
-    BufReader body(body_bytes);
+    BGPS_ASSIGN_OR_RETURN(BufReader body, block.sub(alen));
     switch (AttrType(type)) {
       case AttrType::Origin: {
         BGPS_ASSIGN_OR_RETURN(uint8_t o, body.u8());
@@ -199,17 +196,9 @@ Status DecodePathAttributesInto(BufReader& r, size_t len, AsnEncoding enc,
         break;
       }
       case AttrType::AsPath: {
-        AsPathCache* cache = ctx ? ctx->aspath_cache : nullptr;
-        std::string_view key(reinterpret_cast<const char*>(body_bytes.data()),
-                             body_bytes.size());
-        if (const AsPath* hit = cache ? cache->Find(key, enc) : nullptr) {
-          attrs.as_path = *hit;
-          break;
-        }
         // A repeated AS_PATH attribute replaces the earlier one.
         attrs.as_path.clear();
         BGPS_RETURN_IF_ERROR(DecodeAsPathBodyInto(body, enc, &attrs.as_path));
-        if (cache) cache->Insert(key, enc, attrs.as_path);
         break;
       }
       case AttrType::NextHop: {
@@ -293,10 +282,9 @@ Status DecodePathAttributesInto(BufReader& r, size_t len, AsnEncoding enc,
 }
 
 Result<PathAttributes> DecodePathAttributes(BufReader& r, size_t len,
-                                            AsnEncoding enc,
-                                            AttrDecodeCtx* ctx) {
+                                            AsnEncoding enc) {
   PathAttributes attrs;
-  BGPS_RETURN_IF_ERROR(DecodePathAttributesInto(r, len, enc, ctx, &attrs));
+  BGPS_RETURN_IF_ERROR(DecodePathAttributesInto(r, len, enc, &attrs));
   return attrs;
 }
 

@@ -44,8 +44,7 @@ Result<std::pair<MessageType, size_t>> DecodeBgpHeader(BufReader& r) {
   return std::make_pair(MessageType(type), size_t(len) - kBgpHeaderSize);
 }
 
-Status DecodeUpdateInto(BufReader& r, AsnEncoding enc, AttrDecodeCtx* ctx,
-                        UpdateMessage* out) {
+Status DecodeUpdateInto(BufReader& r, AsnEncoding enc, UpdateMessage* out) {
   BGPS_ASSIGN_OR_RETURN(auto header, DecodeBgpHeader(r));
   auto [type, body_len] = header;
   if (type != MessageType::Update) return CorruptError("not an UPDATE");
@@ -61,7 +60,7 @@ Status DecodeUpdateInto(BufReader& r, AsnEncoding enc, AttrDecodeCtx* ctx,
   BGPS_ASSIGN_OR_RETURN(uint16_t attr_len, body.u16());
   if (attr_len > 0) {
     BGPS_RETURN_IF_ERROR(
-        DecodePathAttributesInto(body, attr_len, enc, ctx, &out->attrs));
+        DecodePathAttributesInto(body, attr_len, enc, &out->attrs));
   }
 
   while (!body.empty()) {
@@ -71,10 +70,9 @@ Status DecodeUpdateInto(BufReader& r, AsnEncoding enc, AttrDecodeCtx* ctx,
   return OkStatus();
 }
 
-Result<UpdateMessage> DecodeUpdate(BufReader& r, AsnEncoding enc,
-                                   AttrDecodeCtx* ctx) {
+Result<UpdateMessage> DecodeUpdate(BufReader& r, AsnEncoding enc) {
   UpdateMessage update;
-  BGPS_RETURN_IF_ERROR(DecodeUpdateInto(r, enc, ctx, &update));
+  BGPS_RETURN_IF_ERROR(DecodeUpdateInto(r, enc, &update));
   return update;
 }
 

@@ -25,14 +25,10 @@ Bytes EncodeUpdate(const UpdateMessage& update, AsnEncoding enc);
 
 // Decodes a complete BGP message into `*out` (default-constructed; its
 // contents are unspecified on a non-OK status); requires type == UPDATE.
-// `ctx`, when given, is forwarded to the attribute decoder (AS-path
-// intern cache).
-Status DecodeUpdateInto(BufReader& r, AsnEncoding enc, AttrDecodeCtx* ctx,
-                        UpdateMessage* out);
+Status DecodeUpdateInto(BufReader& r, AsnEncoding enc, UpdateMessage* out);
 
 // Value-returning form of DecodeUpdateInto.
-Result<UpdateMessage> DecodeUpdate(BufReader& r, AsnEncoding enc,
-                                   AttrDecodeCtx* ctx = nullptr);
+Result<UpdateMessage> DecodeUpdate(BufReader& r, AsnEncoding enc);
 
 // Reads and validates a BGP header, returning (type, body length).
 Result<std::pair<MessageType, size_t>> DecodeBgpHeader(BufReader& r);

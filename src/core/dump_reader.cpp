@@ -77,7 +77,7 @@ void DumpReader::Produce() {
   rec.timestamp = raw->timestamp;
   // Decode straight into the record. A failed decode leaves a partly
   // filled body behind; a failed record carries a default `msg`.
-  Status st = mrt::DecodeRecordInto(*raw, &decode_ctx_, &rec.msg);
+  Status st = mrt::DecodeRecordInto(*raw, &rec.msg);
   if (!st.ok()) {
     rec.status = st.code() == StatusCode::Unsupported
                      ? RecordStatus::Unsupported
@@ -206,13 +206,6 @@ DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
     out.records.push_back(std::move(*rec));
   }
   return out;
-}
-
-DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
-                           const FileOpenHook& hook) {
-  DumpDecodeOptions opt;
-  opt.file_open_hook = hook;
-  return DecodeDumpFile(meta, opt);
 }
 
 }  // namespace bgps::core

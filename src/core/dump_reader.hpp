@@ -12,10 +12,10 @@
 #include <functional>
 #include <memory>
 
-#include "core/arena.hpp"
 #include "core/filter.hpp"
 #include "core/record.hpp"
 #include "mrt/file.hpp"
+#include "util/interned_string.hpp"
 
 namespace bgps::core {
 
@@ -89,10 +89,6 @@ class DumpReader {
   // Peer index table seen in this file (RIB dumps), for elem extraction.
   const mrt::PeerIndexTable* peer_index() const { return peer_index_.get(); }
 
-  // Per-dump AS-path intern cache stats (tests/benches: hit rate shows
-  // how much path decode work the arena pipeline elides).
-  const bgp::AsPathCache& aspath_cache() const { return aspath_cache_; }
-
  private:
   // Produces the next record from the file into `lookahead_`, decoding
   // in place; leaves it empty at the end of the dump.
@@ -102,13 +98,8 @@ class DumpReader {
 
   broker::DumpFileMeta meta_;
   mrt::MrtFileReader reader_;
-  // Decode arena, the AS-path intern cache it backs, and the interned
-  // provenance strings — all per dump, all freed together when the
-  // reader (and therefore the dump) is done. Records never point into
-  // the arena; they carry self-contained values (see core/arena.hpp).
-  Arena arena_;
-  bgp::AsPathCache aspath_cache_{&arena_};
-  bgp::AttrDecodeCtx decode_ctx_{&aspath_cache_};
+  // Provenance strings, interned once per dump and shared by every
+  // record it produces.
   InternedString project_;
   InternedString collector_;
   std::shared_ptr<const mrt::PeerIndexTable> peer_index_;
@@ -188,9 +179,5 @@ void AttachPrefetchedElems(Record& rec, const DumpDecodeOptions& opt,
 // including the Corrupted*/Unsupported records and Start/End positions.
 DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
                            const DumpDecodeOptions& opt = {});
-
-// Back-compat convenience overload (hook only).
-DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
-                           const FileOpenHook& hook);
 
 }  // namespace bgps::core

@@ -196,17 +196,6 @@ void PrefetchDecoder::Submit(std::vector<broker::DumpFileMeta> subset) {
   }
 }
 
-std::vector<DecodedDump> PrefetchDecoder::WaitNext() {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->done_cv.wait(lock, [this] {
-    return !state_->jobs.empty() && !state_->jobs.front()->chunked &&
-           state_->jobs.front()->decoded == state_->jobs.front()->files.size();
-  });
-  auto job = state_->jobs.front();
-  state_->jobs.pop_front();
-  return std::move(job->dumps);
-}
-
 std::vector<std::unique_ptr<RecordSource>>
 PrefetchDecoder::WaitNextSources() {
   std::unique_lock<std::mutex> lock(state_->mu);

@@ -127,20 +127,15 @@ class PrefetchDecoder {
   // caller (BgpStream) bounds the number of subsets in flight.
   void Submit(std::vector<broker::DumpFileMeta> subset);
 
-  // Blocks until the oldest submitted subset is fully decoded and
-  // returns it (FIFO: results come back in Submit order regardless of
-  // which task finished first). Whole-file mode only. Precondition:
-  // outstanding() > 0.
-  std::vector<DecodedDump> WaitNext();
-
-  // Mode-independent hand-off: record sources for the oldest submitted
-  // subset, in file order. Whole-file mode blocks until the subset is
+  // Hands off record sources for the oldest submitted subset, in file
+  // order (FIFO: subsets come back in Submit order regardless of which
+  // task finished first). Whole-file mode blocks until the subset is
   // fully decoded; chunked mode returns immediately with live sources
   // the decode tasks keep filling (their Peek/Next block until a record
   // or end-of-file). Precondition: outstanding() > 0.
   std::vector<std::unique_ptr<RecordSource>> WaitNextSources();
 
-  // Subsets submitted but not yet returned by WaitNext*().
+  // Subsets submitted but not yet returned by WaitNextSources().
   size_t outstanding() const;
 
   // Subsets still holding decode resources: queued ones plus (chunked

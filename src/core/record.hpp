@@ -6,9 +6,9 @@
 #include <optional>
 
 #include "broker/archive.hpp"
-#include "core/arena.hpp"
 #include "core/elem.hpp"
 #include "mrt/mrt.hpp"
+#include "util/interned_string.hpp"
 
 namespace bgps::core {
 

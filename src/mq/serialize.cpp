@@ -213,6 +213,13 @@ Result<bgp::AsPath> ReadAsPath(BufReader& r) {
   return path;
 }
 
+// Smallest wire size of a record header and of an elem (IPv4 addresses,
+// empty AS path, no communities). A count the remaining bytes cannot
+// hold is corrupt and is rejected before it sizes a vector: a flipped
+// count byte must not turn into a multi-gigabyte resize.
+constexpr size_t kMinRecordWireBytes = 31;
+constexpr size_t kMinElemWireBytes = 36;
+
 void WriteElem(BufWriter& w, const core::Elem& e) {
   w.u8(uint8_t(e.type));
   w.u64(uint64_t(e.time));
@@ -296,6 +303,8 @@ Status DecodeRecordBatchInto(const Bytes& data, RecordBatchMessage& out) {
   const InternedString project(out.project);
   const InternedString collector(out.collector);
   BGPS_ASSIGN_OR_RETURN(uint32_t n, r.u32());
+  if (n > r.remaining() / kMinRecordWireBytes)
+    return CorruptError("record count exceeds batch size");
   out.records.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     PublishedRecord& pr = out.records[i];
@@ -314,6 +323,8 @@ Status DecodeRecordBatchInto(const Bytes& data, RecordBatchMessage& out) {
     BGPS_ASSIGN_OR_RETURN(uint64_t ts, r.u64());
     rec.timestamp = Timestamp(ts);
     BGPS_ASSIGN_OR_RETURN(uint32_t nelems, r.u32());
+    if (nelems > r.remaining() / kMinElemWireBytes)
+      return CorruptError("elem count exceeds batch size");
     if (!rec.prefetched_elems) rec.prefetched_elems.emplace();
     rec.prefetched_elems->resize(nelems);
     for (uint32_t e = 0; e < nelems; ++e) {

@@ -49,8 +49,7 @@ Status DecodePeerIndexTableInto(BufReader& r, PeerIndexTable* pit) {
 
 // Entries are emplaced and their attributes decoded in place: a RIB
 // record's PathAttributes are never built elsewhere and moved in.
-Status DecodeRibPrefixInto(BufReader& r, IpFamily family,
-                           bgp::AttrDecodeCtx* ctx, RibPrefix* rib) {
+Status DecodeRibPrefixInto(BufReader& r, IpFamily family, RibPrefix* rib) {
   BGPS_ASSIGN_OR_RETURN(rib->sequence, r.u32());
   BGPS_ASSIGN_OR_RETURN(rib->prefix, bgp::DecodeNlriPrefix(r, family));
   BGPS_ASSIGN_OR_RETURN(uint16_t count, r.u16());
@@ -62,13 +61,12 @@ Status DecodeRibPrefixInto(BufReader& r, IpFamily family,
     e.originated_time = otime;
     BGPS_ASSIGN_OR_RETURN(uint16_t attr_len, r.u16());
     BGPS_RETURN_IF_ERROR(bgp::DecodePathAttributesInto(
-        r, attr_len, bgp::AsnEncoding::FourByte, ctx, &e.attrs));
+        r, attr_len, bgp::AsnEncoding::FourByte, &e.attrs));
   }
   return OkStatus();
 }
 
-Status DecodeBgp4mpMessageInto(BufReader& r, bool as4, bgp::AttrDecodeCtx* ctx,
-                               Bgp4mpMessage* msg) {
+Status DecodeBgp4mpMessageInto(BufReader& r, bool as4, Bgp4mpMessage* msg) {
   if (as4) {
     BGPS_ASSIGN_OR_RETURN(msg->peer_asn, r.u32());
     BGPS_ASSIGN_OR_RETURN(msg->local_asn, r.u32());
@@ -91,7 +89,7 @@ Status DecodeBgp4mpMessageInto(BufReader& r, bool as4, bgp::AttrDecodeCtx* ctx,
   }
   if (msg->message_type == bgp::MessageType::Update) {
     BGPS_RETURN_IF_ERROR(bgp::DecodeUpdateInto(
-        r, as4 ? bgp::AsnEncoding::FourByte : bgp::AsnEncoding::TwoByte, ctx,
+        r, as4 ? bgp::AsnEncoding::FourByte : bgp::AsnEncoding::TwoByte,
         &msg->update));
   }
   return OkStatus();
@@ -143,8 +141,7 @@ Result<RawRecord> DecodeRawRecord(BufReader& r) {
   return raw;
 }
 
-Status DecodeRecordInto(const RawRecord& raw, bgp::AttrDecodeCtx* ctx,
-                        MrtMessage* out) {
+Status DecodeRecordInto(const RawRecord& raw, MrtMessage* out) {
   out->timestamp = raw.timestamp;
   out->microseconds = raw.microseconds;
   BufReader r(raw.body);
@@ -155,10 +152,10 @@ Status DecodeRecordInto(const RawRecord& raw, bgp::AttrDecodeCtx* ctx,
         return DecodePeerIndexTableInto(
             r, &out->body.emplace<PeerIndexTable>());
       case TableDumpV2Subtype::RibIpv4Unicast:
-        return DecodeRibPrefixInto(r, IpFamily::V4, ctx,
+        return DecodeRibPrefixInto(r, IpFamily::V4,
                                    &out->body.emplace<RibPrefix>());
       case TableDumpV2Subtype::RibIpv6Unicast:
-        return DecodeRibPrefixInto(r, IpFamily::V6, ctx,
+        return DecodeRibPrefixInto(r, IpFamily::V6,
                                    &out->body.emplace<RibPrefix>());
     }
     return UnsupportedError("TABLE_DUMP_V2 subtype " +
@@ -171,7 +168,7 @@ Status DecodeRecordInto(const RawRecord& raw, bgp::AttrDecodeCtx* ctx,
       case Bgp4mpSubtype::Message:
       case Bgp4mpSubtype::MessageAs4: {
         bool as4 = Bgp4mpSubtype(raw.subtype) == Bgp4mpSubtype::MessageAs4;
-        return DecodeBgp4mpMessageInto(r, as4, ctx,
+        return DecodeBgp4mpMessageInto(r, as4,
                                        &out->body.emplace<Bgp4mpMessage>());
       }
       case Bgp4mpSubtype::StateChange:
@@ -188,9 +185,9 @@ Status DecodeRecordInto(const RawRecord& raw, bgp::AttrDecodeCtx* ctx,
   return UnsupportedError("MRT type " + std::to_string(raw.type));
 }
 
-Result<MrtMessage> DecodeRecord(const RawRecord& raw, bgp::AttrDecodeCtx* ctx) {
+Result<MrtMessage> DecodeRecord(const RawRecord& raw) {
   MrtMessage msg;
-  BGPS_RETURN_IF_ERROR(DecodeRecordInto(raw, ctx, &msg));
+  BGPS_RETURN_IF_ERROR(DecodeRecordInto(raw, &msg));
   return msg;
 }
 

@@ -135,16 +135,12 @@ Result<RawRecord> DecodeRawRecord(BufReader& r);
 // body alternative the (type, subtype) selects and decodes into it.
 // Unknown (type, subtype) pairs yield StatusCode::Unsupported; malformed
 // bodies yield Corrupt. `*out` must be default-constructed; on a non-OK
-// status its contents are unspecified and the caller resets it. `ctx`,
-// when given, is threaded into the attribute decoder (per-dump AS-path
-// intern cache — see bgp::AttrDecodeCtx).
-Status DecodeRecordInto(const RawRecord& raw, bgp::AttrDecodeCtx* ctx,
-                        MrtMessage* out);
+// status its contents are unspecified and the caller resets it.
+Status DecodeRecordInto(const RawRecord& raw, MrtMessage* out);
 
 // Value-returning form of DecodeRecordInto (tests, tools, benches; the
 // stream path decodes in place through core::DumpReader).
-Result<MrtMessage> DecodeRecord(const RawRecord& raw,
-                                bgp::AttrDecodeCtx* ctx = nullptr);
+Result<MrtMessage> DecodeRecord(const RawRecord& raw);
 
 // The write side (TABLE_DUMP_V2 + BGP4MP encoders, both ASN encodings)
 // lives in mrt/encode.hpp.

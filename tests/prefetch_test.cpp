@@ -41,6 +41,18 @@ std::vector<DumpFileMeta> BogusSubset(const std::string& tag, size_t n) {
   return files;
 }
 
+// Takes the oldest whole-file subset off `decoder` and drains each of its
+// sources, keeping file order.
+std::vector<DecodedDump> DrainNextSubset(PrefetchDecoder& decoder) {
+  std::vector<DecodedDump> dumps;
+  for (auto& source : decoder.WaitNextSources()) {
+    DecodedDump& dump = dumps.emplace_back();
+    dump.meta = source->meta();
+    while (auto rec = source->Next()) dump.records.push_back(std::move(*rec));
+  }
+  return dumps;
+}
+
 // DumpReader::Skip — the idle-reclaim resume path — must count exactly
 // Next()'s record cadence and keep the PEER_INDEX_TABLE alive, so a
 // post-skip RIB record still decomposes into per-VP elems.
@@ -741,17 +753,17 @@ TEST(PrefetchDecoderTest, ReturnsSubsetsInSubmitOrderWithFileOrderKept) {
   decoder.Submit(BogusSubset("c", 1));
   EXPECT_EQ(decoder.outstanding(), 3u);
 
-  auto a = decoder.WaitNext();
+  auto a = DrainNextSubset(decoder);
   ASSERT_EQ(a.size(), 5u);
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].meta.collector, "a-" + std::to_string(i));
     ASSERT_EQ(a[i].records.size(), 1u);
     EXPECT_EQ(a[i].records[0].status, RecordStatus::CorruptedDump);
   }
-  auto b = decoder.WaitNext();
+  auto b = DrainNextSubset(decoder);
   ASSERT_EQ(b.size(), 3u);
   EXPECT_EQ(b[0].meta.collector, "b-0");
-  auto c = decoder.WaitNext();
+  auto c = DrainNextSubset(decoder);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].meta.collector, "c-0");
   EXPECT_EQ(decoder.outstanding(), 0u);
@@ -767,7 +779,7 @@ TEST(PrefetchDecoderTest, DecodesAheadOfConsumption) {
 
   // Consume only the first subset, then watch the workers finish the
   // second one on their own — that is the "ahead of the consumer" part.
-  (void)decoder.WaitNext();
+  (void)DrainNextSubset(decoder);
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (decoder.files_decoded() < 6 &&
          std::chrono::steady_clock::now() < deadline) {
@@ -794,7 +806,7 @@ TEST(PrefetchDecoderTest, WholeFileInFlightMatchesOutstanding) {
   decoder.Submit(BogusSubset("b", 2));
   EXPECT_EQ(decoder.outstanding(), 2u);
   EXPECT_EQ(decoder.in_flight(), 2u);
-  (void)decoder.WaitNext();
+  (void)DrainNextSubset(decoder);
   EXPECT_EQ(decoder.outstanding(), 1u);
   EXPECT_EQ(decoder.in_flight(), 1u);  // whole-file: handed out = gone
 }
@@ -870,9 +882,9 @@ TEST(PrefetchDecoderTest, SharedExecutorDecodersKeepFifoOrder) {
   a.Submit(BogusSubset("a1", 3));
   b.Submit(BogusSubset("b1", 2));
   a.Submit(BogusSubset("a2", 1));
-  EXPECT_EQ(a.WaitNext()[0].meta.collector, "a1-0");
-  EXPECT_EQ(b.WaitNext()[0].meta.collector, "b1-0");
-  EXPECT_EQ(a.WaitNext()[0].meta.collector, "a2-0");
+  EXPECT_EQ(DrainNextSubset(a)[0].meta.collector, "a1-0");
+  EXPECT_EQ(DrainNextSubset(b)[0].meta.collector, "b1-0");
+  EXPECT_EQ(DrainNextSubset(a)[0].meta.collector, "a2-0");
   EXPECT_EQ(executor->tenants(), 2u);
 }
 

@@ -236,13 +236,28 @@ TEST_F(StreamStressTest, PausedTenantIsReclaimedUnderCorpusLoadThenResumes) {
                                 e.as_path.ToString());
     }
   }
-  // Let the workers load the victim's buffers before the rivals start.
+  // Let the victim's decode settle before the rivals start. Its own
+  // refill tasks advance the executor's round clock, so idle reclaim
+  // fires on it within idle_reclaim_rounds tasks of its last pop and
+  // drops every file that is not mid-fill. What stays buffered is what
+  // those in-flight fills push (up to 128 / 34 files = 3 records each):
+  // 8 to 20 records from run to run, so waiting for a fixed 10 failed
+  // about one run in four. Wait until no decode task is queued and the counters stop
+  // moving, then require a non-empty buffer for the rivals to reclaim.
   auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (victim->stats().records_buffered < 10 &&
-         std::chrono::steady_clock::now() < until) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  size_t still = 0;
+  auto last = victim->stats();
+  while (still < 50 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    auto now = victim->stats();
+    bool quiet = now.queue_depth == 0 &&
+                 now.tasks_executed == last.tasks_executed &&
+                 now.records_buffered == last.records_buffered;
+    still = quiet ? still + 1 : 0;
+    last = now;
   }
-  ASSERT_GE(victim->stats().records_buffered, 10u);
+  ASSERT_EQ(still, 50u) << "the parked tenant's decode never settled";
+  ASSERT_GT(victim->stats().records_buffered, 0u);
 
   // Two rivals drain the whole corpus while the victim sleeps; their
   // budget demand drives the contention hook, which must reclaim the
