@@ -362,6 +362,9 @@ std::string& GeneratedCorpusDir() {
 const std::vector<broker::DumpFileMeta>& GetGeneratedCorpus() {
   static const std::vector<broker::DumpFileMeta>* files = [] {
     auto* out = new std::vector<broker::DumpFileMeta>();
+    // Construct the path before registering the cleanup, so the path
+    // outlives the handler that reads it.
+    GeneratedCorpusDir();
     std::atexit([] {
       std::error_code ec;
       std::filesystem::remove_all(GeneratedCorpusDir(), ec);
@@ -447,6 +450,7 @@ std::string& GeneratedRibDir() {
 const std::vector<broker::DumpFileMeta>& GetGeneratedRibDump() {
   static const std::vector<broker::DumpFileMeta>* files = [] {
     auto* out = new std::vector<broker::DumpFileMeta>();
+    GeneratedRibDir();  // constructed first: see GetGeneratedCorpus
     std::atexit([] {
       std::error_code ec;
       std::filesystem::remove_all(GeneratedRibDir(), ec);
@@ -496,6 +500,53 @@ void BM_DumpReaderUpdatesDecode(benchmark::State& state) {
   DumpReaderDecode(state, updates);
 }
 BENCHMARK(BM_DumpReaderUpdatesDecode)->Unit(benchmark::kMillisecond);
+
+// --- Elem extraction over the generated RIB --------------------------------
+//
+// The stream's extraction pass (ExtractFilteredElemsInto, what Elems()
+// runs) over every record of the RIB dump BM_DumpReaderRibDecode reads,
+// decoded once up front so only extraction is timed. Arg 0: no elem
+// filter (plain decomposition). Arg 1: perfbench hist-rib's filter
+// shape (a more-specific prefix filter, elemtype ribs or announcements),
+// which the pass checks on each elem's fields before building it. The
+// generator numbers /24s upward from 1.0.0.0, so hist-rib's 2.0.0.0/8
+// keeps a third of its 200k prefixes and none of these 50k; 1.64.0.0/10
+// keeps the same third here. Items are records; kept_elems_per_run
+// counts what the filters let through.
+void BM_RibElemExtraction(benchmark::State& state) {
+  static const std::vector<core::Record>* records = [] {
+    auto* out = new std::vector<core::Record>();
+    for (const auto& meta : GetGeneratedRibDump()) {
+      core::DumpReader reader(meta);
+      while (auto rec = reader.Next()) out->push_back(std::move(*rec));
+    }
+    return out;
+  }();
+  core::FilterSet filters;
+  if (state.range(0) == 1) {
+    (void)filters.AddOption("prefix", "more 1.64.0.0/10");
+    (void)filters.AddOption("elemtype", "ribs");
+    (void)filters.AddOption("elemtype", "announcements");
+  }
+  size_t kept = 0;
+  for (auto _ : state) {
+    for (const core::Record& rec : *records) {
+      std::vector<core::Elem> elems;
+      core::ExtractFilteredElemsInto(rec, filters, elems);
+      kept += elems.size();
+      benchmark::DoNotOptimize(elems);
+    }
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(records->size()));
+  state.counters["kept_elems_per_run"] =
+      double(kept) / double(state.iterations());
+}
+BENCHMARK(BM_RibElemExtraction)
+    ->ArgName("filtered")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 // --- Multi-tenant: shared StreamPool vs private per-stream pipelines ------
 //

@@ -179,18 +179,17 @@ std::optional<Record> DumpReader::Next() {
   return out;
 }
 
-void AttachPrefetchedElems(Record& rec, const DumpDecodeOptions& opt,
-                           ElemArena* arena) {
+void AttachPrefetchedElems(Record& rec, const DumpDecodeOptions& opt) {
   if (!opt.extract_elems) return;
   // Records the record-level filters will drop never reach Elems();
   // don't pay for their decomposition.
   if (opt.filters != nullptr && !opt.filters->MatchesRecord(rec)) return;
-  std::vector<Elem> elems = arena ? arena->NewVector() : std::vector<Elem>();
-  ExtractElemsInto(rec, elems);
-  // Note the pre-filter count: that is what NewVector's reserve must
-  // cover, since extraction happens before the elem filters prune.
-  if (arena) arena->Note(elems.size());
-  if (opt.filters != nullptr) opt.filters->FilterElemsInPlace(elems);
+  std::vector<Elem> elems;
+  if (opt.filters != nullptr) {
+    ExtractFilteredElemsInto(rec, *opt.filters, elems);
+  } else {
+    ExtractElemsInto(rec, elems);
+  }
   rec.prefetched_elems = std::move(elems);
 }
 
@@ -200,9 +199,8 @@ DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
   DecodedDump out;
   out.meta = meta;
   DumpReader reader(meta);
-  ElemArena arena;
   while (auto rec = reader.Next()) {
-    AttachPrefetchedElems(*rec, opt, &arena);
+    AttachPrefetchedElems(*rec, opt);
     out.records.push_back(std::move(*rec));
   }
   return out;

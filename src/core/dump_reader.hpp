@@ -139,40 +139,9 @@ struct DumpDecodeOptions {
   const FilterSet* filters = nullptr;
 };
 
-// Flat elem arena for worker-side extraction: one per decode task (a
-// whole-file decode or a chunked per-file stream). It primes each
-// record's `prefetched_elems` vector with a capacity predicted from the
-// decode-time elem counts seen so far in the same dump, so worker
-// threads do one exact-size allocation per record instead of a
-// growth-doubling sequence — cutting allocator traffic on the shared
-// Executor. Not thread-safe: owned by the single task decoding a file.
-class ElemArena {
- public:
-  // An empty vector whose capacity is primed to the running mean elem
-  // count (rounded up) of the records observed so far.
-  std::vector<Elem> NewVector() {
-    std::vector<Elem> v;
-    if (records_ > 0) v.reserve((elems_ + records_ - 1) / records_);
-    return v;
-  }
-
-  // Records the extraction (pre-filter) elem count of a filled vector —
-  // the size the next reserve has to cover.
-  void Note(size_t elems) {
-    elems_ += elems;
-    ++records_;
-  }
-
- private:
-  size_t elems_ = 0;
-  size_t records_ = 0;
-};
-
 // Runs worker-side elem extraction + filtering on one record in place,
-// per `opt`. No-op unless opt.extract_elems. `arena`, when given,
-// primes and observes the per-record vector capacity.
-void AttachPrefetchedElems(Record& rec, const DumpDecodeOptions& opt,
-                           ElemArena* arena = nullptr);
+// per `opt`. No-op unless opt.extract_elems.
+void AttachPrefetchedElems(Record& rec, const DumpDecodeOptions& opt);
 
 // Opens and fully decodes `meta` (calling opt.file_open_hook first, if
 // set). Produces exactly the record sequence a DumpReader would stream,

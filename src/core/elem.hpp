@@ -18,6 +18,7 @@
 namespace bgps::core {
 
 struct Record;  // core/record.hpp (which includes this header, not vice versa)
+class FilterSet;  // core/filter.hpp
 
 enum class ElemType : uint8_t {
   RibEntry,      // route from a RIB dump
@@ -50,9 +51,17 @@ struct Elem {
 // peer references). Invalid records produce no elems.
 std::vector<Elem> ExtractElems(const Record& record);
 
-// Appends the record's elems to `out` without clearing it. Lets decode
-// workers extract into capacity-primed vectors (see ElemArena in
-// core/dump_reader.hpp) instead of growing a fresh one per record.
+// Appends the record's elems to `out` without clearing it. `out` grows
+// at most once per record (room for all of the record's elems is
+// reserved at its first one).
 void ExtractElemsInto(const Record& record, std::vector<Elem>& out);
+
+// Appends only the elems `filters` keeps: the same elems, in the same
+// order, as ExtractElemsInto followed by FilterSet::FilterElemsInPlace,
+// but the filters see each elem's fields before the elem is built, so a
+// rejected elem costs no copy. Both stream extraction sites
+// (BgpStream::Elems and AttachPrefetchedElems) run this.
+void ExtractFilteredElemsInto(const Record& record, const FilterSet& filters,
+                              std::vector<Elem>& out);
 
 }  // namespace bgps::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "util/smallvec.hpp"
 #include "util/strings.hpp"
 
 namespace bgps::core {
@@ -57,21 +58,21 @@ Result<AsPathPattern> AsPathPattern::Parse(const std::string& pattern) {
   return out;
 }
 
-bool AsPathPattern::MatchFrom(const std::vector<bgp::Asn>& hops, size_t hop,
+bool AsPathPattern::MatchFrom(const bgp::Asn* hops, size_t n, size_t hop,
                               size_t token) const {
   if (token == tokens_.size()) {
-    return anchor_end_ ? hop == hops.size() : true;
+    return anchor_end_ ? hop == n : true;
   }
   const Token& t = tokens_[token];
   switch (t.kind) {
     case Token::Kind::Asn:
-      return hop < hops.size() && hops[hop] == t.asn &&
-             MatchFrom(hops, hop + 1, token + 1);
+      return hop < n && hops[hop] == t.asn &&
+             MatchFrom(hops, n, hop + 1, token + 1);
     case Token::Kind::AnyOne:
-      return hop < hops.size() && MatchFrom(hops, hop + 1, token + 1);
+      return hop < n && MatchFrom(hops, n, hop + 1, token + 1);
     case Token::Kind::AnyRun:
-      for (size_t next = hop; next <= hops.size(); ++next) {
-        if (MatchFrom(hops, next, token + 1)) return true;
+      for (size_t next = hop; next <= n; ++next) {
+        if (MatchFrom(hops, n, next, token + 1)) return true;
       }
       return false;
   }
@@ -79,10 +80,15 @@ bool AsPathPattern::MatchFrom(const std::vector<bgp::Asn>& hops, size_t hop,
 }
 
 bool AsPathPattern::matches(const bgp::AsPath& path) const {
-  std::vector<bgp::Asn> hops = path.hops();
-  if (anchor_start_) return MatchFrom(hops, 0, 0);
+  // The hop sequence of AsPath::hops(), flattened into inline storage:
+  // a path within the decoder's inline capacities (two segments of
+  // eight) is matched without touching the heap.
+  SmallVec<bgp::Asn, 16> hops;
+  for (const auto& seg : path.segments())
+    for (bgp::Asn a : seg.asns) hops.push_back(a);
+  if (anchor_start_) return MatchFrom(hops.data(), hops.size(), 0, 0);
   for (size_t start = 0; start <= hops.size(); ++start) {
-    if (MatchFrom(hops, start, 0)) return true;
+    if (MatchFrom(hops.data(), hops.size(), start, 0)) return true;
   }
   return false;
 }
@@ -203,11 +209,6 @@ bool FilterSet::MatchesRecord(const Record& record) const {
          record.status != RecordStatus::Valid;
 }
 
-std::vector<Elem> FilterSet::FilterElems(std::vector<Elem> elems) const {
-  FilterElemsInPlace(elems);
-  return elems;
-}
-
 void FilterSet::FilterElemsInPlace(std::vector<Elem>& elems) const {
   if (!HasElemFilters()) return;
   elems.erase(std::remove_if(elems.begin(), elems.end(),
@@ -215,22 +216,25 @@ void FilterSet::FilterElemsInPlace(std::vector<Elem>& elems) const {
               elems.end());
 }
 
-bool FilterSet::MatchesElem(const Elem& elem) const {
+bool FilterSet::MatchesElemFields(
+    ElemType type, bgp::Asn peer_asn, const Prefix* prefix,
+    const bgp::AsPath& elem_path,
+    const bgp::Communities& elem_communities) const {
   if (!elem_types.empty() &&
-      std::find(elem_types.begin(), elem_types.end(), elem.type) ==
+      std::find(elem_types.begin(), elem_types.end(), type) ==
           elem_types.end())
     return false;
   if (!peer_asns.empty() &&
-      std::find(peer_asns.begin(), peer_asns.end(), elem.peer_asn) ==
+      std::find(peer_asns.begin(), peer_asns.end(), peer_asn) ==
           peer_asns.end())
     return false;
-  if (ip_version && elem.has_prefix() && elem.prefix.family() != *ip_version)
+  if (ip_version && prefix != nullptr && prefix->family() != *ip_version)
     return false;
   if (!prefixes.empty()) {
-    if (!elem.has_prefix()) return false;
+    if (prefix == nullptr) return false;
     bool any = false;
     for (const auto& f : prefixes) {
-      if (f.matches(elem.prefix)) {
+      if (f.matches(*prefix)) {
         any = true;
         break;
       }
@@ -240,7 +244,7 @@ bool FilterSet::MatchesElem(const Elem& elem) const {
   if (!communities.empty()) {
     bool any = false;
     for (const auto& m : communities) {
-      if (m.matches_any(elem.communities)) {
+      if (m.matches_any(elem_communities)) {
         any = true;
         break;
       }
@@ -250,7 +254,7 @@ bool FilterSet::MatchesElem(const Elem& elem) const {
   if (!path_asns.empty()) {
     bool any = false;
     for (bgp::Asn a : path_asns) {
-      if (elem.as_path.contains(a)) {
+      if (elem_path.contains(a)) {
         any = true;
         break;
       }
@@ -260,7 +264,7 @@ bool FilterSet::MatchesElem(const Elem& elem) const {
   if (!aspath_patterns.empty()) {
     bool any = false;
     for (const auto& pattern : aspath_patterns) {
-      if (pattern.matches(elem.as_path)) {
+      if (pattern.matches(elem_path)) {
         any = true;
         break;
       }

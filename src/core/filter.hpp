@@ -51,7 +51,7 @@ class AsPathPattern {
     bgp::Asn asn = 0;
   };
 
-  bool MatchFrom(const std::vector<bgp::Asn>& hops, size_t hop,
+  bool MatchFrom(const bgp::Asn* hops, size_t n, size_t hop,
                  size_t token) const;
 
   std::string text_;
@@ -92,19 +92,25 @@ class FilterSet {
   // Record-level check (provenance + record timestamp inside interval).
   bool MatchesRecord(const Record& record) const;
 
-  // Elem-level check (all data filters).
-  bool MatchesElem(const Elem& elem) const;
+  // Elem-level check (all data filters) on the fields they read, so
+  // extraction can ask before it builds the elem. `prefix` is null for
+  // an elem without one (a state change): `ipversion` passes it and a
+  // prefix filter rejects it. Withdrawals and state changes are checked
+  // with an empty path and empty communities. The single elem
+  // predicate: MatchesElem, FilterElemsInPlace and
+  // ExtractFilteredElemsInto all come down to it.
+  bool MatchesElemFields(ElemType type, bgp::Asn peer_asn,
+                         const Prefix* prefix, const bgp::AsPath& elem_path,
+                         const bgp::Communities& elem_communities) const;
 
-  // Keeps the elems passing MatchesElem (everything if no elem-level
-  // filter is configured). The single filtering implementation shared
-  // by inline extraction (BgpStream::Elems) and worker-side extraction
-  // (AttachPrefetchedElems) — the pipeline equivalence guarantee
-  // depends on both using exactly this.
-  std::vector<Elem> FilterElems(std::vector<Elem> elems) const;
+  bool MatchesElem(const Elem& elem) const {
+    return MatchesElemFields(elem.type, elem.peer_asn,
+                             elem.has_prefix() ? &elem.prefix : nullptr,
+                             elem.as_path, elem.communities);
+  }
 
-  // In-place variant (same predicate): erases the elems failing
-  // MatchesElem without allocating a second vector — the decode workers
-  // filter arena-primed vectors with this.
+  // Erases the elems failing MatchesElem (none if no elem-level filter
+  // is configured), for elems that arrive already extracted.
   void FilterElemsInPlace(std::vector<Elem>& elems) const;
 
   // True if any elem-level filter is configured (lets hot paths skip

@@ -468,7 +468,7 @@ void PrefetchDecoder::FillChunked(const std::shared_ptr<State>& st,
     cf.decoding = 1;  // the lease above covers the record decoded next
     lock.unlock();
     std::optional<Record> rec = cf.reader->Next();
-    if (rec) AttachPrefetchedElems(*rec, st->decode, &cf.arena);
+    if (rec) AttachPrefetchedElems(*rec, st->decode);
     lock.lock();
     // Holding the lock through the push below: no pop can interleave
     // between clearing the in-flight mark and the slot becoming a

@@ -175,8 +175,8 @@ class PrefetchDecoder {
 
  private:
   // One file streaming through a bounded buffer (chunked mode). All
-  // fields are guarded by State::mu except reader and arena *while
-  // claimed*, which the claiming task uses with the lock released.
+  // fields are guarded by State::mu except reader *while claimed*,
+  // which the claiming task uses with the lock released.
   struct ChunkedFile {
     broker::DumpFileMeta meta;
     size_t capacity = 1;
@@ -185,7 +185,6 @@ class PrefetchDecoder {
     // the front entry is where a reclaim's resume must restart.
     std::deque<DumpReader::Checkpoint> buffer_cps;
     std::unique_ptr<DumpReader> reader;  // created by the first filler
-    ElemArena arena;         // primes prefetched_elems reserves
     size_t slots = 0;        // governor slots held (floor + extras)
     // 1 while the fill task decodes a record with the lock released and
     // a slot already leased for it; keeps concurrent consumer pops from

@@ -274,7 +274,9 @@ std::vector<Elem> BgpStream::Elems(Record& record) const {
     record.prefetched_elems.reset();
     return out;
   }
-  return filters_.FilterElems(ExtractElems(record));
+  std::vector<Elem> out;
+  ExtractFilteredElemsInto(record, filters_, out);
+  return out;
 }
 
 }  // namespace bgps::core

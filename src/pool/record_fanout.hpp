@@ -20,7 +20,8 @@
 // evaluating the full filter language at fan-out, so a subscriber's
 // output is byte-identical to a direct BgpStream run with the same
 // filters: records are gated by FilterSet::MatchesRecord, elems by
-// FilterElemsInPlace, exactly the two predicates the direct path uses.
+// FilterElemsInPlace, whose elem predicate is the one the direct path's
+// extraction asks (FilterSet::MatchesElemFields).
 //
 // Ordering: records carry a publisher-global `seq`; a subscriber merges
 // its collector topics by seq, emitting a head only once the publisher

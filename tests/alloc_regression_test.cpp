@@ -16,7 +16,9 @@
 #include <random>
 
 #include "bgp/attrs.hpp"
+#include "core/filter.hpp"
 #include "core/prefetch.hpp"
+#include "core/stream.hpp"
 #include "mrt/encode.hpp"
 #include "mrt/file.hpp"
 
@@ -286,6 +288,76 @@ TEST(AllocRegressionTest, ChunkedStreamPathAllocatesBoundedPerRecord) {
 
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+// A RIB record for `prefix` seen by three VPs, each with a path and
+// communities within the SmallVec inline capacities.
+Record InlineRibRecord(Prefix prefix) {
+  auto pit = std::make_shared<mrt::PeerIndexTable>();
+  Record rec;
+  rec.dump_type = DumpType::Rib;
+  mrt::RibPrefix rib;
+  rib.prefix = prefix;
+  for (uint16_t i = 0; i < 3; ++i) {
+    pit->peers.push_back(
+        {i, IpAddress::V4(10, 0, 0, uint8_t(1 + i)), bgp::Asn(65001 + i)});
+    mrt::RibEntry e;
+    e.peer_index = i;
+    e.attrs.as_path =
+        bgp::AsPath::Sequence({65001u + i, 3356, 2914, 1299, 15169});
+    e.attrs.next_hop = IpAddress::V4(10, 0, 0, uint8_t(1 + i));
+    e.attrs.communities.push_back(bgp::Community(3356, 100));
+    e.attrs.communities.push_back(bgp::Community(65535, 666));
+    rib.entries.push_back(std::move(e));
+  }
+  rec.msg.body = std::move(rib);
+  rec.peer_index = std::move(pit);
+  return rec;
+}
+
+// Elems() asks the elem filters before it builds an elem, so a record
+// the filters reject costs nothing and a kept one costs the returned
+// vector alone (sized once for all of the record's elems; the paths and
+// communities are copied into inline storage).
+TEST(AllocRegressionTest, FilteredElemsAllocateOnlyTheReturnedVector) {
+  BgpStream stream;
+  ASSERT_TRUE(stream.AddFilter("prefix", "more 2.0.0.0/8").ok());
+  ASSERT_TRUE(stream.AddFilter("elemtype", "ribs").ok());
+  ASSERT_TRUE(stream.AddFilter("elemtype", "announcements").ok());
+  Record rejected = InlineRibRecord(Prefix(IpAddress::V4(3, 1, 0, 0), 16));
+  Record kept = InlineRibRecord(Prefix(IpAddress::V4(2, 1, 0, 0), 16));
+
+  size_t before = AllocCount();
+  std::vector<Elem> none = stream.Elems(rejected);
+  size_t allocs = AllocCount() - before;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(allocs, 0u) << "a rejected RIB record allocated " << allocs
+                        << " times";
+
+  before = AllocCount();
+  std::vector<Elem> elems = stream.Elems(kept);
+  allocs = AllocCount() - before;
+  EXPECT_EQ(elems.size(), 3u);
+  EXPECT_EQ(allocs, 1u) << "a kept RIB record allocated " << allocs
+                        << " times";
+}
+
+// An aspath filter matches a path within the inline capacities without
+// a heap copy of its hops.
+TEST(AllocRegressionTest, AsPathPatternMatchIsAllocationFree) {
+  FilterSet filters;
+  ASSERT_TRUE(filters.AddOption("aspath", "% 3356 * 1299").ok());
+  Elem elem;
+  elem.type = ElemType::Announcement;
+  elem.prefix = Prefix(IpAddress::V4(2, 1, 0, 0), 16);
+  elem.as_path =
+      bgp::AsPath::Sequence({65001, 7018, 3356, 2914, 1299, 6939, 174, 15169});
+
+  size_t before = AllocCount();
+  bool matched = filters.MatchesElem(elem);
+  size_t allocs = AllocCount() - before;
+  EXPECT_TRUE(matched);
+  EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace

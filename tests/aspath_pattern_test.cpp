@@ -116,6 +116,44 @@ TEST_P(AsPathPatternRandom, ContainsEquivalence) {
   }
 }
 
+// A pattern runs over the hop sequence of AsPath::hops(): segment
+// boundaries are invisible, and a path longer than the matcher's inline
+// storage matches like a short one.
+TEST_P(AsPathPatternRandom, SegmentsMatchLikeTheirHopSequence) {
+  std::mt19937 rng(GetParam());
+  const char* kinds[] = {"*", "%"};
+  for (int trial = 0; trial < 200; ++trial) {
+    bgp::AsPath path;
+    size_t segments = rng() % 5;
+    for (size_t s = 0; s < segments; ++s) {
+      bgp::AsPathSegment seg;
+      seg.type = rng() % 3 ? bgp::SegmentType::AsSequence
+                           : bgp::SegmentType::AsSet;
+      size_t len = 1 + rng() % 9;  // up to 36 hops, past inline storage
+      for (size_t i = 0; i < len; ++i) seg.asns.push_back(1 + rng() % 6);
+      path.append_segment(std::move(seg));
+    }
+    std::string text = rng() % 2 ? "^" : "";
+    size_t tokens = 1 + rng() % 4;
+    for (size_t t = 0; t < tokens; ++t) {
+      if (t) text += " ";
+      text += rng() % 3 ? std::to_string(1 + rng() % 6) : kinds[rng() % 2];
+    }
+    if (rng() % 2) text += "$";
+    AsPathPattern p = Pat(text);
+    EXPECT_EQ(p.matches(path), p.matches(bgp::AsPath::Sequence(path.hops())))
+        << path.ToString() << " ~ " << text;
+  }
+}
+
+TEST(AsPathPattern, SpansSegmentBoundary) {
+  bgp::AsPath path = Path({65001, 3356, 2914});
+  path.append_segment({bgp::SegmentType::AsSet, {64512, 64513}});
+  EXPECT_TRUE(Pat("2914 64512").matches(path));
+  EXPECT_TRUE(Pat("% 64513$").matches(path));
+  EXPECT_FALSE(Pat("2914 64513").matches(path));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, AsPathPatternRandom,
                          ::testing::Values(11u, 22u, 33u));
 
